@@ -89,12 +89,12 @@ except AbsorptionError as err:
 print()
 print("=== 5. Chi-square fairness of simulated hand-size increments ===")
 records = run_trials(
-    PwarConfig(deck=(8, 1), rule="powered", record_trajectory=True),
+    PwarConfig(deck=(8, 1), rule="powered", record_trace=True),
     1500, seed=5,
 )
 increments, sizes = [], []
 for rec in records:
-    traj = rec.a_trajectory
+    traj = rec.trace
     for t in range(len(traj) - 1):
         increments.append(traj[t + 1] - traj[t])
         sizes.append(traj[t])

@@ -76,7 +76,7 @@ print()
 print("=== 5. Pathwise sanity on one simulated game ===")
 records = run_trials(
     FwarConfig(n=8, strength="shifted", deal="iid",
-               record_trajectory=True), 1, seed=3,
+               record_trace=True), 1, seed=3,
 )
 trace = records[0]
 products = [

@@ -18,6 +18,10 @@ line exposes simulate / exact / verify / reproduce.
 __version__ = "0.1.0"
 
 from .core import (
+    DRAW,
+    TRUNCATED,
+    WINNER_A,
+    WINNER_B,
     Card,
     Deck,
     DeckSpec,
@@ -25,6 +29,7 @@ from .core import (
     RNG_ALGORITHM,
     RngStream,
     StrengthFunction,
+    TrialRecord,
     WinningRule,
     bernoulli_flag,
     build_deck,
@@ -41,9 +46,10 @@ from .rules import (
     rule_max_holder,
     rule_powered,
     strength_builtin,
+    strength_from_spec,
     validate_rule,
 )
-from .pwar import PwarConfig, TrialRecord, pwar_run, pwar_step
+from .pwar import PwarConfig, pwar_run, pwar_step
 from .fwar import (
     FwarConfig,
     FwarTrace,
@@ -56,7 +62,6 @@ from .fwar import (
 )
 from .classic import (
     ClassicConfig,
-    ClassicTrialRecord,
     TiePolicy,
     aces_win_table,
     classic_run,

@@ -24,17 +24,24 @@ use, and the reproduction paths run with ``min_hand=2``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .core import Deck, GameState, RngStream, build_deck
+from .core import (
+    DRAW,
+    TRUNCATED,
+    WINNER_A,
+    WINNER_B,
+    Deck,
+    GameState,
+    RngStream,
+    TrialRecord,
+    build_deck,
+    built,
+    deal_uniform,
+)
 
 DEFAULT_MAX_ROUNDS = 10_000_000
-
-WINNER_A = "A"
-WINNER_B = "B"
-DRAW = "Draw"
-TRUNCATED = "Truncated"
 
 
 @dataclass(frozen=True)
@@ -43,12 +50,11 @@ class TiePolicy:
 
     ``kind`` is ``"war_round"`` or ``"coin_flip"``; ``face_down`` is the
     number of unseen cards staked per war escalation. A player who cannot
-    stake mid-war always loses immediately (``runout``).
+    stake mid-war loses immediately.
     """
 
     kind: str = "war_round"
     face_down: int = 1
-    runout: str = "immediate_loss"
 
     def __post_init__(self):
         if self.kind not in ("war_round", "coin_flip"):
@@ -58,131 +64,27 @@ class TiePolicy:
             )
         if self.face_down < 0:
             raise ValueError("face_down must be non-negative")
-        if self.runout != "immediate_loss":
-            raise ValueError("only immediate_loss runout is supported")
 
 
-@dataclass(frozen=True)
-class ClassicTrialRecord:
-    """One game's outcome; ``cards_won_by_round`` (optional) holds the
-    signed pile size per round, positive when A collected it."""
-
-    tau: int
-    winner: str
-    cards_won_by_round: Optional[tuple] = None
-    metadata: dict = field(default_factory=dict)
-
-
-def _play_round(a, b, ranks, tie: TiePolicy, rng: RngStream):
-    """Play one complete round (including any war sequence) in place.
-
-    Returns ``(outcome, signed_pile)`` where outcome is None while the
-    game continues, or "A"/"B"/"Draw" when a runout ended it mid-war.
-    ``signed_pile`` is the number of cards the pile's winner collected,
-    negated when B collected (0 on a Draw).
-    """
-    war = tie.kind == "war_round"
-    ca = a.popleft()
-    cb = b.popleft()
-    pile = [ca, cb]
-    while True:
-        ra = ranks[ca]
-        rb = ranks[cb]
-        if ra != rb:
-            a_won = ra > rb
-            break
-        if not war:
-            a_won = rng.random() <= 0.5
-            break
-        need = tie.face_down + 1
-        a_ok = len(a) >= need
-        b_ok = len(b) >= need
-        if not a_ok and not b_ok:
-            # Simultaneous runout: annul the war so the terminal state
-            # still conserves cards (stakes go back to their owners).
-            a.extend(pile[0::2])
-            b.extend(pile[1::2])
-            return DRAW, 0
-        if not a_ok:
-            b.extend(pile)
-            b.extend(a)
-            a.clear()
-            return WINNER_B, 0
-        if not b_ok:
-            a.extend(pile)
-            a.extend(b)
-            b.clear()
-            return WINNER_A, 0
-        for _ in range(tie.face_down):
-            pile.append(a.popleft())
-            pile.append(b.popleft())
-        ca = a.popleft()
-        cb = b.popleft()
-        pile.append(ca)
-        pile.append(cb)
-    rng.shuffle(pile)
-    if a_won:
-        a.extend(pile)
-        return None, len(pile)
-    b.extend(pile)
-    return None, -len(pile)
-
-
-def classic_step(
-    state: GameState,
-    tie: TiePolicy,
-    deck: Deck,
-    rng: RngStream,
-    min_hand: int = 1,
-) -> tuple[GameState, Optional[str]]:
-    """Advance one round from an ordered, non-absorbing state.
-
-    Returns ``(new_state, outcome)``: outcome is None while play
-    continues, otherwise "A", "B" or "Draw" for a game that ended this
-    round (runout, forfeit below ``min_hand``, or emptied hand). A
-    forfeit consumes no randomness and leaves the hands untouched.
-    """
-    if state.is_absorbing:
-        raise ValueError("cannot step an absorbing state")
+def _play(state, tie, deck, rng, max_rounds, min_hand, record_trace):
+    """The play loop: from ``state``, play whole rounds (each including its
+    war sequence) until the game ends or ``max_rounds`` rounds are played.
+    Returns the final hands (deques, front = next played) and the game's
+    record; its trace is the signed pile size of each round, negated when
+    B collected it and 0 when a runout ends the game."""
     if not state.ordered:
         raise ValueError("classic war uses ordered (tuple) hands")
-    la, lb = len(state.hand_a), len(state.hand_b)
-    if la < min_hand and lb < min_hand:
-        return state, DRAW
-    if la < min_hand:
-        return state, WINNER_B
-    if lb < min_hand:
-        return state, WINNER_A
     a = deque(state.hand_a)
     b = deque(state.hand_b)
-    outcome, _ = _play_round(a, b, deck.ranks, tie, rng)
-    new_state = GameState(
-        hand_a=tuple(a), hand_b=tuple(b), round=state.round + 1
-    )
-    if outcome is None and new_state.is_absorbing:
-        outcome = WINNER_A if a else WINNER_B
-    return new_state, outcome
-
-
-def classic_run(
-    init: GameState,
-    tie: TiePolicy,
-    deck: Deck,
-    rng: RngStream,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    min_hand: int = 1,
-    record_pile_sizes: bool = False,
-) -> ClassicTrialRecord:
-    """Play from ``init`` until the game ends or the round cap is hit."""
-    if not init.ordered:
-        raise ValueError("classic war uses ordered (tuple) hands")
-    a = deque(init.hand_a)
-    b = deque(init.hand_b)
     ranks = deck.ranks
     size = deck.size
-    piles = [] if record_pile_sizes else None
+    war = tie.kind == "war_round"
+    face_down = tie.face_down
+    need = face_down + 1
+    shuffle = rng.shuffle
+    rand = rng.random
+    piles = [] if record_trace else None
     rounds = 0
-    winner = None
     while True:
         la, lb = len(a), len(b)
         if la < min_hand and lb < min_hand:
@@ -197,33 +99,107 @@ def classic_run(
         if rounds >= max_rounds:
             winner = TRUNCATED
             break
-        outcome, signed = _play_round(a, b, ranks, tie, rng)
+        ca = a.popleft()
+        cb = b.popleft()
+        pile = [ca, cb]
+        winner = None
+        while True:
+            ra = ranks[ca]
+            rb = ranks[cb]
+            if ra != rb:
+                a_won = ra > rb
+                break
+            if not war:
+                a_won = rand() <= 0.5
+                break
+            a_ok = len(a) >= need
+            b_ok = len(b) >= need
+            if not a_ok and not b_ok:
+                # Simultaneous runout: annul the war so the terminal state
+                # still conserves cards (stakes go back to their owners).
+                a.extend(pile[0::2])
+                b.extend(pile[1::2])
+                winner = DRAW
+                break
+            if not a_ok:
+                b.extend(pile)
+                b.extend(a)
+                a.clear()
+                winner = WINNER_B
+                break
+            if not b_ok:
+                a.extend(pile)
+                a.extend(b)
+                b.clear()
+                winner = WINNER_A
+                break
+            for _ in range(face_down):
+                pile.append(a.popleft())
+                pile.append(b.popleft())
+            ca = a.popleft()
+            cb = b.popleft()
+            pile.append(ca)
+            pile.append(cb)
         rounds += 1
+        if winner is not None:
+            # A runout ended the game mid-war.
+            if piles is not None:
+                piles.append(0)
+            break
+        shuffle(pile)
+        if a_won:
+            a.extend(pile)
+            signed = len(pile)
+        else:
+            b.extend(pile)
+            signed = -len(pile)
         if piles is not None:
             piles.append(signed)
-        if __debug__ and outcome != DRAW:
+        if __debug__:
             assert len(a) + len(b) == size, "card count not conserved"
-        if outcome is not None:
-            winner = outcome
-            break
     if __debug__:
         assert sorted(list(a) + list(b)) == list(range(size)), (
             "cards not conserved at game end"
         )
-    return ClassicTrialRecord(
-        tau=rounds,
-        winner=winner,
-        cards_won_by_round=tuple(piles) if piles is not None else None,
-        metadata={
-            "game": "classic",
-            "tie": tie.kind,
-            "face_down": tie.face_down,
-            "min_hand": min_hand,
-            "deck": deck.describe(),
-            "seed": rng.seed,
-            "stream_id": rng.stream_id,
-        },
-    )
+    record = TrialRecord(rounds, winner, rng.stream_id,
+                         tuple(piles) if piles is not None else None)
+    return a, b, record
+
+
+def classic_step(
+    state: GameState,
+    tie: TiePolicy,
+    deck: Deck,
+    rng: RngStream,
+    min_hand: int = 1,
+) -> tuple[GameState, Optional[str]]:
+    """Advance one round from an ordered, non-absorbing state.
+
+    Returns ``(new_state, outcome)``: outcome is None while play
+    continues, otherwise "A", "B" or "Draw" for a game that ended by this
+    round (runout, emptied hand, or a hand now below ``min_hand``). A
+    state that already has a hand below ``min_hand`` is a forfeit: it
+    consumes no randomness and comes back unchanged.
+    """
+    if state.is_absorbing:
+        raise ValueError("cannot step an absorbing state")
+    a, b, record = _play(state, tie, deck, rng, 1, min_hand, False)
+    outcome = None if record.winner == TRUNCATED else record.winner
+    return GameState(tuple(a), tuple(b), state.round + record.tau), outcome
+
+
+def classic_run(
+    init: GameState,
+    tie: TiePolicy,
+    deck: Deck,
+    rng: RngStream,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    min_hand: int = 1,
+    record_trace: bool = False,
+) -> TrialRecord:
+    """Play from ``init`` until the game ends or the round cap is hit."""
+    return _play(init, tie, deck, rng, max_rounds, min_hand,
+                 record_trace)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +245,13 @@ class ClassicConfig:
     min_hand: int = 1
     top_rank_count: Optional[int] = None
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    record_pile_sizes: bool = False
+    record_trace: bool = False
 
-    def run_trial(self, seed: int, stream_id: int) -> ClassicTrialRecord:
-        from .core import deal_uniform
+    def build(self):
+        return build_deck(self.deck), TiePolicy(self.tie, self.face_down)
 
-        deck = build_deck(self.deck)
-        tie = TiePolicy(kind=self.tie, face_down=self.face_down)
+    def run_trial(self, seed: int, stream_id: int) -> TrialRecord:
+        deck, tie = built(self)
         rng = RngStream(seed, stream_id)
         if self.top_rank_count is None:
             state = deal_uniform(deck, deck.size // 2, rng, ordered=True)
@@ -290,7 +266,7 @@ class ClassicConfig:
             rng,
             max_rounds=self.max_rounds,
             min_hand=self.min_hand,
-            record_pile_sizes=self.record_pile_sizes,
+            record_trace=self.record_trace,
         )
         if self.top_rank_count is not None and self.tie == "coin_flip":
             copies = sum(

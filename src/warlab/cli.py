@@ -15,8 +15,14 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .core import build_deck
-from .rules import RULE_NAMES, STRENGTH_KINDS, rule_by_name, strength_builtin
+from .core import WINNER_A, WINNER_B, build_deck
+from .rules import (
+    RULE_NAMES,
+    STRENGTH_KINDS,
+    rule_by_name,
+    strength_builtin,
+    strength_from_spec,
+)
 
 #: Reference round-count table this package reproduces (52-card deck,
 #: 50,000 games per model in the published run).
@@ -48,15 +54,9 @@ def _parse_deck(text: str) -> tuple:
     return (int(text), 1)
 
 
-def _strength_from_args(args) -> Optional[object]:
-    if getattr(args, "strength", None) is None:
-        return None
-    kw = {}
-    if args.strength == "shifted":
-        kw["shift"] = args.shift
-    if args.strength == "exponential":
-        kw["lam"] = args.lam
-    return strength_builtin(args.strength, **kw)
+def _strength_param(args) -> Optional[float]:
+    """The one parameter of ``--strength``: ``--lam`` or ``--shift``."""
+    return args.lam if args.strength == "exponential" else args.shift
 
 
 def _emit(args, payload: dict, rows_key: str, header: list) -> None:
@@ -103,9 +103,7 @@ def _build_sim_config(args):
             rule=args.rule,
             size_a=args.split,
             strength=args.strength,
-            strength_param=(
-                args.lam if args.strength == "exponential" else args.shift
-            ),
+            strength_param=_strength_param(args),
             max_rounds=args.max_rounds,
         )
     if args.game == "fwar":
@@ -114,9 +112,7 @@ def _build_sim_config(args):
         return FwarConfig(
             n=args.n,
             strength=args.strength or "identity",
-            strength_param=(
-                args.lam if args.strength == "exponential" else args.shift
-            ),
+            strength_param=_strength_param(args),
             deal=args.deal,
             size_a=args.split,
             max_rounds=args.max_rounds,
@@ -178,7 +174,7 @@ def cmd_simulate(args) -> int:
     }
     hist = None
     if args.bins:
-        taus = [r.tau for r in records if r.winner in ("A", "B")]
+        taus = [r.tau for r in records if r.winner in (WINNER_A, WINNER_B)]
         hist = histogram(taus, args.bins)
         payload["histogram"] = {
             "bin_edges": hist.bin_edges,
@@ -223,8 +219,13 @@ def cmd_exact(args) -> int:
     rows = []
     if args.game == "pwar":
         deck = build_deck(_parse_deck(args.deck))
-        strength = _strength_from_args(args)
+        strength = None
+        if args.strength is not None:
+            strength = strength_from_spec(args.strength, _strength_param(args),
+                                          deck.max_rank)
         rule = rule_by_name(args.rule, strength)
+        inputs = {"deck": deck.describe(), "rule": rule.name,
+                  "uniform_size": args.uniform_size}
         space = enumerate_pwar(deck, rule)
         result = absorption_solve(space)
         rows = list(solve_rows(space, result))
@@ -255,7 +256,10 @@ def cmd_exact(args) -> int:
     elif args.game == "fwar":
         if args.n is None:
             raise ValueError("fwar needs --n")
-        strength = _strength_from_args(args) or strength_builtin("identity")
+        strength = strength_from_spec(args.strength or "identity",
+                                      _strength_param(args), args.n)
+        inputs = {"n": args.n, "strength": strength.describe(),
+                  "deal": args.deal}
         space = enumerate_fwar(args.n, strength)
         result = absorption_solve(space)
         rows = list(solve_rows(space, result))
@@ -282,9 +286,7 @@ def cmd_exact(args) -> int:
         raise ValueError("exact supports --game pwar or fwar")
     print(f"{len(rows)} states solved")
     if args.out:
-        meta = run_metadata(seed=None, game=args.game, summary=summary,
-                            argv={k: v for k, v in vars(args).items()
-                                  if k not in ("func", "config")})
+        meta = run_metadata(config=inputs, game=args.game, summary=summary)
         if args.format == "json":
             write_json(args.out, {"metadata": meta, "states": rows,
                                   "summary": summary})
@@ -636,9 +638,7 @@ def _reproduce_scaling(args) -> tuple[list[dict], int]:
 def cmd_reproduce(args) -> int:
     from .stats import run_metadata
 
-    target = {"aces-table": "aces", "fig-rounds": "rounds"}.get(
-        args.target, args.target
-    )
+    target = "aces" if args.target == "aces-table" else args.target
     if target == "rounds":
         rows, failures = _reproduce_rounds(args)
     elif target == "aces":

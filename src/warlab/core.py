@@ -1,4 +1,5 @@
-"""Deck, hand and game-state types plus the seeded randomness contract.
+"""Deck, game-state and trial-record types plus the seeded randomness
+contract.
 
 Every engine in this package draws randomness exclusively through
 :class:`RngStream`, one stream per trial. A stream is a pure function of
@@ -12,7 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 #: Name of the RNG scheme, recorded in every output's metadata.
 RNG_ALGORITHM = "mt19937/sha256-derived-streams"
@@ -135,12 +136,6 @@ def build_deck(spec: DeckLike) -> Deck:
 # Hands and game states
 # ---------------------------------------------------------------------------
 
-#: Unordered hand: a set of card ids (random-draw war).
-HandSet = frozenset
-#: Ordered hand: front = next card played, back = bottom (top-card games).
-HandSeq = tuple
-
-
 @dataclass(frozen=True)
 class GameState:
     """Partition of the deck into two hands plus a round counter.
@@ -179,6 +174,32 @@ def validate_state(state: GameState, deck: Deck) -> None:
         raise ValueError("hands must partition the deck's card ids")
     if state.round < 0:
         raise ValueError("round counter must be non-negative")
+
+
+# ---------------------------------------------------------------------------
+# Trial records
+# ---------------------------------------------------------------------------
+
+WINNER_A = "A"
+WINNER_B = "B"
+DRAW = "Draw"
+TRUNCATED = "Truncated"
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """Outcome of one game: rounds played, winner and the trial's stream id.
+
+    ``winner`` is one of :data:`WINNER_A`, :data:`WINNER_B`, :data:`DRAW`
+    or :data:`TRUNCATED` (round cap hit). ``trace`` is recorded on request:
+    |A_t| for t = 0..tau in random-draw war, the signed pile size of each
+    round in classic war (positive when A collected it).
+    """
+
+    tau: int
+    winner: str
+    stream_id: int
+    trace: Optional[tuple] = None
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +313,14 @@ def deal_uniform(
     return GameState(
         hand_a=frozenset(picked), hand_b=frozenset(rest), round=0
     )
+
+
+@lru_cache(maxsize=128)
+def built(config):
+    """``config.build()``, computed once per distinct config value.
+
+    Trial recipes are frozen (hashable) dataclasses, so all trials of one
+    recipe share its deck and rule or strength instead of rebuilding them
+    per trial; forked workers inherit the cache.
+    """
+    return config.build()

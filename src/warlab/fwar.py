@@ -13,136 +13,78 @@ Optional stopping applied to these gives closed-form win probabilities and
 quadratic absorption-time scaling that the exact module verifies.
 
 Each round consumes the outcome draw first, then (in random return order)
-exactly one order draw. :func:`fwar_run` is byte-for-byte the iteration of
-:func:`fwar_step` on the same stream.
+exactly one order draw. :func:`fwar_run` and :func:`fwar_step` share one
+play loop, the step capped at one round, so a run is draw-for-draw the
+iteration of steps.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from . import rules
 from .core import (
+    TRUNCATED,
+    WINNER_A,
+    WINNER_B,
     Deck,
     DeckSpec,
     GameState,
     RngStream,
     StrengthFunction,
+    TrialRecord,
     build_deck,
+    built,
+    deal_uniform,
 )
 
 DEFAULT_MAX_ROUNDS = 10_000_000
-
-WINNER_A = "A"
-WINNER_B = "B"
-TRUNCATED = "Truncated"
 
 #: How the winner returns the pair to the bottom of their hand.
 RETURN_ORDERS = ("random", "own_first", "captured_first")
 
 
-@dataclass(frozen=True)
-class FwarTrace:
-    """One game's outcome plus martingale bookkeeping.
+@dataclass(frozen=True, kw_only=True)
+class FwarTrace(TrialRecord):
+    """One game's record plus martingale bookkeeping.
 
-    ``m_final``/``q_final`` always hold M_tau and Q_tau; the full
-    per-round trajectories (M_0..M_tau and Q_0..Q_tau) are recorded only
-    when asked, since they are O(tau) memory per trial.
+    ``m_final``/``q_final`` always hold M_tau and Q_tau; the per-round
+    trajectories (M_0..M_tau and Q_0..Q_tau) are recorded only when asked,
+    since they are O(tau) memory per trial. ``trace`` stays None.
     """
 
-    tau: int
-    winner: str
     m_final: float
     q_final: float
     m_trajectory: Optional[tuple] = None
     q_trajectory: Optional[tuple] = None
-    metadata: dict = field(default_factory=dict)
 
 
-def _strength_table(strength: StrengthFunction, n: int) -> list[float]:
-    """Strength of card id i at index i (rank i + 1)."""
-    return strength.table(n)
-
-
-def fwar_step(
-    state: GameState,
-    strength: StrengthFunction,
-    deck: Deck,
-    rng: RngStream,
-    return_order: str = "random",
-) -> tuple[GameState, float]:
-    """Advance one round from a non-absorbing ordered state.
-
-    Returns the new state and the round product f(a) f(b), the increment
-    of the compensator Q.
-    """
-    if state.is_absorbing:
-        raise ValueError("cannot step an absorbing state")
+def _play(state, strength, deck, rng, max_rounds, return_order,
+          record_trace):
+    """The play loop: from ``state``, play until a hand empties or
+    ``max_rounds`` rounds are played. Returns the final hands (deques,
+    front = next played) and the game's record."""
     if not state.ordered:
         raise ValueError("top-card war uses ordered (tuple) hands")
     if return_order not in RETURN_ORDERS:
         raise ValueError(f"return_order must be one of {RETURN_ORDERS}")
-    ranks = deck.ranks
-    a_id = state.hand_a[0]
-    b_id = state.hand_b[0]
-    fa = float(strength.f(ranks[a_id]))
-    fb = float(strength.f(ranks[b_id]))
-    if fa <= 0 or fb <= 0:
-        raise ValueError(
-            f"strength {strength.name!r} is non-positive on ranks in play"
-        )
-    a_wins = rng.random() <= fa / (fa + fb)
-    if return_order == "random":
-        first_own = rng.random() <= 0.5
-    else:
-        first_own = return_order == "own_first"
-    own, captured = (a_id, b_id) if a_wins else (b_id, a_id)
-    pair = (own, captured) if first_own else (captured, own)
-    if a_wins:
-        new_a = state.hand_a[1:] + pair
-        new_b = state.hand_b[1:]
-    else:
-        new_a = state.hand_a[1:]
-        new_b = state.hand_b[1:] + pair
-    return (
-        GameState(hand_a=new_a, hand_b=new_b, round=state.round + 1),
-        fa * fb,
-    )
-
-
-def fwar_run(
-    init: GameState,
-    strength: StrengthFunction,
-    deck: Deck,
-    rng: RngStream,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    record_trajectory: bool = False,
-    return_order: str = "random",
-) -> FwarTrace:
-    """Play from ``init`` to absorption or the round cap."""
-    if not init.ordered:
-        raise ValueError("top-card war uses ordered (tuple) hands")
-    if return_order not in RETURN_ORDERS:
-        raise ValueError(f"return_order must be one of {RETURN_ORDERS}")
     n = deck.size
-    fs = _strength_table(strength, deck.max_rank)
-    ranks = deck.ranks
-    f_of = [fs[ranks[i] - 1] for i in range(n)]
-    a = deque(init.hand_a)
-    b = deque(init.hand_b)
+    fs = strength.table(deck.max_rank)
+    f_of = [fs[r - 1] for r in deck.ranks]
+    a = deque(state.hand_a)
+    b = deque(state.hand_b)
     m = math.fsum(f_of[i] for i in a)
     q = 0.0
-    m_traj = [m] if record_trajectory else None
-    q_traj = [0.0] if record_trajectory else None
+    m_traj = [m] if record_trace else None
+    q_traj = [0.0] if record_trace else None
     rand = rng.random
     random_return = return_order == "random"
     own_first = return_order == "own_first"
     rounds = 0
-    while a and b:
-        if rounds >= max_rounds:
-            break
+    while a and b and rounds < max_rounds:
         a_id = a[0]
         b_id = b[0]
         fa = f_of[a_id]
@@ -188,22 +130,51 @@ def fwar_run(
         winner = TRUNCATED
     else:
         winner = WINNER_A if a else WINNER_B
-    return FwarTrace(
+    record = FwarTrace(
         tau=rounds,
         winner=winner,
+        stream_id=rng.stream_id,
         m_final=m,
         q_final=q,
         m_trajectory=tuple(m_traj) if m_traj is not None else None,
         q_trajectory=tuple(q_traj) if q_traj is not None else None,
-        metadata={
-            "game": "fwar",
-            "strength": strength.describe(),
-            "n": n,
-            "return_order": return_order,
-            "seed": rng.seed,
-            "stream_id": rng.stream_id,
-        },
     )
+    return a, b, record
+
+
+def fwar_step(
+    state: GameState,
+    strength: StrengthFunction,
+    deck: Deck,
+    rng: RngStream,
+    return_order: str = "random",
+) -> tuple[GameState, float]:
+    """Advance one round from a non-absorbing ordered state.
+
+    Returns the new state and the round product f(a) f(b), the increment
+    of the compensator Q.
+    """
+    if state.is_absorbing:
+        raise ValueError("cannot step an absorbing state")
+    a, b, record = _play(state, strength, deck, rng, 1, return_order, False)
+    return (
+        GameState(tuple(a), tuple(b), state.round + 1),
+        record.q_final,
+    )
+
+
+def fwar_run(
+    init: GameState,
+    strength: StrengthFunction,
+    deck: Deck,
+    rng: RngStream,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    record_trace: bool = False,
+    return_order: str = "random",
+) -> FwarTrace:
+    """Play from ``init`` to absorption or the round cap."""
+    return _play(init, strength, deck, rng, max_rounds, return_order,
+                 record_trace)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -288,40 +259,29 @@ class FwarConfig:
     deal: str = "uniform"
     size_a: Optional[int] = None
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    record_trajectory: bool = False
+    record_trace: bool = False
     return_order: str = "random"
 
     def build(self):
-        from . import rules as _rules
-
         deck = build_deck(DeckSpec(self.n, 1))
-        kw = {}
-        if self.strength == "shifted":
-            kw["shift"] = (
-                int(self.strength_param)
-                if self.strength_param is not None
-                else self.n
-            )
-        elif self.strength == "exponential":
-            kw["lam"] = self.strength_param
-        strength = _rules.strength_builtin(self.strength, **kw)
+        strength = rules.strength_from_spec(
+            self.strength, self.strength_param, self.n
+        )
         return deck, strength
 
     def deal_state(self, rng: RngStream) -> GameState:
-        from .core import deal_uniform
-
         if self.deal == "iid":
             return deal_iid(self.n, rng)
         if self.deal == "strongest":
             return deal_strongest(self.n, rng)
         if self.deal == "uniform":
-            deck, _ = self.build()
+            deck, _ = built(self)
             size_a = self.size_a if self.size_a is not None else self.n // 2
             return deal_uniform(deck, size_a, rng, ordered=True)
         raise ValueError(f"unknown deal {self.deal!r}; valid: {DEALS}")
 
     def run_trial(self, seed: int, stream_id: int) -> FwarTrace:
-        deck, strength = self.build()
+        deck, strength = built(self)
         rng = RngStream(seed, stream_id)
         state = self.deal_state(rng)
         return fwar_run(
@@ -330,6 +290,6 @@ class FwarConfig:
             deck,
             rng,
             max_rounds=self.max_rounds,
-            record_trajectory=self.record_trajectory,
+            record_trace=self.record_trace,
             return_order=self.return_order,
         )

@@ -7,99 +7,56 @@ card per round and the game absorbs when a hand empties.
 
 Determinism contract: hands are kept in ascending-id order and each round
 consumes exactly three uniform draws in fixed order (index into A's hand,
-index into B's hand, outcome), with index = floor(U * hand_size). Running a
-game with :func:`pwar_run` is byte-for-byte the same as iterating
-:func:`pwar_step` on the same stream.
+index into B's hand, outcome), with index = floor(U * hand_size).
+:func:`pwar_run` and :func:`pwar_step` share one play loop, the step
+capped at one round, so a run is draw-for-draw the iteration of steps.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .core import Deck, GameState, RngStream, WinningRule
+from . import rules
+from .core import (
+    TRUNCATED,
+    WINNER_A,
+    WINNER_B,
+    Deck,
+    GameState,
+    RngStream,
+    TrialRecord,
+    WinningRule,
+    build_deck,
+    built,
+    deal_uniform,
+)
 
 #: Cap on rounds per game; arbitrary rules need not terminate.
 DEFAULT_MAX_ROUNDS = 10_000_000
 
-WINNER_A = "A"
-WINNER_B = "B"
-DRAW = "Draw"
-TRUNCATED = "Truncated"
-
 _EMPTY: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of one game: absorption time, winner, optional |A_t| path."""
-
-    tau: int
-    winner: str
-    a_trajectory: Optional[tuple] = None
-    metadata: dict = field(default_factory=dict)
-
-
-def pwar_step(
-    state: GameState, rule: WinningRule, deck: Deck, rng: RngStream
-) -> GameState:
-    """Advance one round from a non-absorbing unordered state."""
-    if state.is_absorbing:
-        raise ValueError("cannot step an absorbing state")
+def _play(state, rule, deck, rng, max_rounds, record_trace):
+    """The play loop: from ``state``, play until a hand empties or
+    ``max_rounds`` rounds are played. Returns the final hands (ascending id
+    lists) and the game's record."""
     if state.ordered:
         raise ValueError("random-draw war uses unordered (set) hands")
     ha = sorted(state.hand_a)
     hb = sorted(state.hand_b)
-    ia = int(rng.random() * len(ha))
-    ib = int(rng.random() * len(hb))
-    a_id, b_id = ha[ia], hb[ib]
-    cards = deck.cards
-    if rule.uses_hand:
-        s = frozenset(x for x in ha if x != a_id)
-    else:
-        s = _EMPTY
-    p = rule.eval(cards[a_id], cards[b_id], s, deck)
-    if rng.random() <= p:
-        new_a = state.hand_a | {b_id}
-        new_b = state.hand_b - {b_id}
-    else:
-        new_a = state.hand_a - {a_id}
-        new_b = state.hand_b | {a_id}
-    return GameState(hand_a=new_a, hand_b=new_b, round=state.round + 1)
-
-
-def pwar_run(
-    init: GameState,
-    rule: WinningRule,
-    deck: Deck,
-    rng: RngStream,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    record_trajectory: bool = False,
-) -> TrialRecord:
-    """Play from ``init`` until absorption or the round cap.
-
-    Returns winner ``"Truncated"`` if the cap was hit. When
-    ``record_trajectory`` is set, the record carries |A_t| for t = 0..tau.
-    """
-    if init.ordered:
-        raise ValueError("random-draw war uses unordered (set) hands")
-    ha = sorted(init.hand_a)
-    hb = sorted(init.hand_b)
     size = deck.size
     cards = deck.cards
     ev = rule.eval
     uses_hand = rule.uses_hand
     rand = rng.random
-    traj = [len(ha)] if record_trajectory else None
+    traj = [len(ha)] if record_trace else None
     rounds = 0
-    while ha and hb:
-        if rounds >= max_rounds:
-            break
-        la = len(ha)
-        lb = len(hb)
-        ia = int(rand() * la)
-        ib = int(rand() * lb)
+    while ha and hb and rounds < max_rounds:
+        ia = int(rand() * len(ha))
+        ib = int(rand() * len(hb))
         a_id = ha[ia]
         b_id = hb[ib]
         if uses_hand:
@@ -124,18 +81,35 @@ def pwar_run(
         winner = TRUNCATED
     else:
         winner = WINNER_A if ha else WINNER_B
-    return TrialRecord(
-        tau=rounds,
-        winner=winner,
-        a_trajectory=tuple(traj) if traj is not None else None,
-        metadata={
-            "game": "pwar",
-            "rule": rule.name,
-            "deck": deck.describe(),
-            "seed": rng.seed,
-            "stream_id": rng.stream_id,
-        },
-    )
+    record = TrialRecord(rounds, winner, rng.stream_id,
+                         tuple(traj) if traj is not None else None)
+    return ha, hb, record
+
+
+def pwar_step(
+    state: GameState, rule: WinningRule, deck: Deck, rng: RngStream
+) -> GameState:
+    """Advance one round from a non-absorbing unordered state."""
+    if state.is_absorbing:
+        raise ValueError("cannot step an absorbing state")
+    ha, hb, _ = _play(state, rule, deck, rng, 1, False)
+    return GameState(frozenset(ha), frozenset(hb), state.round + 1)
+
+
+def pwar_run(
+    init: GameState,
+    rule: WinningRule,
+    deck: Deck,
+    rng: RngStream,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    record_trace: bool = False,
+) -> TrialRecord:
+    """Play from ``init`` until absorption or the round cap.
+
+    Returns winner ``"Truncated"`` if the cap was hit. When
+    ``record_trace`` is set, the record's trace is |A_t| for t = 0..tau.
+    """
+    return _play(init, rule, deck, rng, max_rounds, record_trace)[2]
 
 
 @dataclass(frozen=True)
@@ -154,32 +128,19 @@ class PwarConfig:
     strength: Optional[str] = None
     strength_param: Optional[float] = None
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    record_trajectory: bool = False
+    record_trace: bool = False
 
     def build(self):
-        from . import rules as _rules
-        from .core import build_deck
-
         deck = build_deck(self.deck)
         strength = None
         if self.strength is not None:
-            kw = {}
-            if self.strength == "shifted":
-                kw["shift"] = (
-                    int(self.strength_param)
-                    if self.strength_param is not None
-                    else deck.max_rank
-                )
-            elif self.strength == "exponential":
-                kw["lam"] = self.strength_param
-            strength = _rules.strength_builtin(self.strength, **kw)
-        rule = _rules.rule_by_name(self.rule, strength)
-        return deck, rule
+            strength = rules.strength_from_spec(
+                self.strength, self.strength_param, deck.max_rank
+            )
+        return deck, rules.rule_by_name(self.rule, strength)
 
     def run_trial(self, seed: int, stream_id: int) -> TrialRecord:
-        from .core import deal_uniform
-
-        deck, rule = self.build()
+        deck, rule = built(self)
         rng = RngStream(seed, stream_id)
         size_a = self.size_a if self.size_a is not None else deck.size // 2
         state = deal_uniform(deck, size_a, rng, ordered=False)
@@ -189,5 +150,5 @@ class PwarConfig:
             deck,
             rng,
             max_rounds=self.max_rounds,
-            record_trajectory=self.record_trajectory,
+            record_trace=self.record_trace,
         )

@@ -182,6 +182,23 @@ def strength_builtin(
 
 STRENGTH_KINDS = ("constant", "identity", "shifted", "exponential")
 
+
+def strength_from_spec(
+    kind: str, param: Optional[float], max_rank: int
+) -> StrengthFunction:
+    """Strength family ``kind`` with its one optional parameter, as trial
+    configs and the command line spell it: ``param`` is the shift of
+    ``shifted`` (default ``max_rank``, the deck's top rank) and the lam of
+    ``exponential``; the other families ignore it."""
+    if kind == "shifted":
+        return strength_builtin(
+            kind, shift=max_rank if param is None else int(param)
+        )
+    if kind == "exponential":
+        return strength_builtin(kind, lam=param)
+    return strength_builtin(kind)
+
+
 #: Rule names accepted by name-based construction (CLI and trial configs).
 RULE_NAMES = (
     "coin",

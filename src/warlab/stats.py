@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.stats
 
-from .core import RNG_ALGORITHM
+from .core import DRAW, RNG_ALGORITHM, TRUNCATED, WINNER_A, WINNER_B
 
 #: Two-sided 95% normal quantile for the CI of the mean.
 _Z95 = 1.959963984540054
@@ -159,21 +159,21 @@ def summarize_records(records: Iterable) -> SampleStats:
     truncated = 0
     draws = 0
     for r in records:
-        if r.winner == "Truncated":
+        if r.winner == TRUNCATED:
             truncated += 1
-        elif r.winner == "Draw":
+        elif r.winner == DRAW:
             draws += 1
         else:
             taus.append(r.tau)
     return summarize(taus, truncated_count=truncated, draw_count=draws)
 
 
-def win_frequency(records: Iterable, player: str = "A") -> float:
+def win_frequency(records: Iterable, player: str = WINNER_A) -> float:
     """Fraction of decided games won by ``player``."""
     wins = 0
     decided = 0
     for r in records:
-        if r.winner in ("A", "B"):
+        if r.winner in (WINNER_A, WINNER_B):
             decided += 1
             wins += r.winner == player
     if decided == 0:

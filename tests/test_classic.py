@@ -14,7 +14,7 @@ from warlab.classic import (
     deal_top_rank_conditioned,
 )
 from warlab.core import GameState, RngStream, build_deck, deal_uniform
-from warlab.stats import run_trials
+from warlab.stats import run_metadata, run_trials
 
 WAR = TiePolicy(kind="war_round")
 COIN = TiePolicy(kind="coin_flip")
@@ -23,12 +23,10 @@ COIN = TiePolicy(kind="coin_flip")
 class TestTiePolicy:
     def test_defaults(self):
         assert WAR.face_down == 1
-        assert WAR.runout == "immediate_loss"
 
     @pytest.mark.parametrize("kw", [
         {"kind": "sudden_death"},
         {"face_down": -1},
-        {"runout": "replay"},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -116,15 +114,19 @@ class TestClassicStep:
 
 
 class TestClassicRun:
-    def test_run_equals_iterated_steps(self):
+    @pytest.mark.parametrize("min_hand", [1, 2])
+    @pytest.mark.parametrize("tie", [WAR, COIN], ids=["war", "coin"])
+    def test_run_equals_iterated_steps(self, tie, min_hand):
         deck = build_deck((5, 2))
         for trial in range(30):
             init = deal_uniform(deck, 5, RngStream(7, trial), ordered=True)
-            rec = classic_run(init, WAR, deck, RngStream(70, trial))
+            rec = classic_run(init, tie, deck, RngStream(70, trial),
+                              min_hand=min_hand)
             state, rng = init, RngStream(70, trial)
             outcome = None
             while outcome is None:
-                state, outcome = classic_step(state, WAR, deck, rng)
+                state, outcome = classic_step(state, tie, deck, rng,
+                                              min_hand=min_hand)
             assert rec.tau == state.round
             assert rec.winner == outcome
 
@@ -169,9 +171,9 @@ class TestClassicRun:
         deck = build_deck((4, 1))
         init = deal_uniform(deck, 2, RngStream(13, 0), ordered=True)
         rec = classic_run(init, WAR, deck, RngStream(14, 0),
-                          record_pile_sizes=True)
-        assert len(rec.cards_won_by_round) == rec.tau
-        assert all(abs(x) >= 2 or x == 0 for x in rec.cards_won_by_round)
+                          record_trace=True)
+        assert len(rec.trace) == rec.tau
+        assert all(abs(x) >= 2 or x == 0 for x in rec.trace)
 
 
 class TestConditionedDeal:
@@ -234,8 +236,10 @@ class TestWinnerBookkeeping:
         assert sum(classes.values()) == 400
 
     def test_metadata_round_trip(self):
-        rec = ClassicConfig(deck=(13, 4), tie="coin_flip",
-                            min_hand=2).run_trial(21, 8)
-        assert rec.metadata["tie"] == "coin_flip"
-        assert rec.metadata["min_hand"] == 2
-        assert rec.metadata["stream_id"] == 8
+        cfg = ClassicConfig(deck=(13, 4), tie="coin_flip", min_hand=2)
+        rec = cfg.run_trial(21, 8)
+        assert rec.stream_id == 8
+        assert rec == cfg.run_trial(21, 8)
+        meta = run_metadata(config=cfg, seed=21)
+        assert meta["config"]["tie"] == "coin_flip"
+        assert meta["config"]["min_hand"] == 2

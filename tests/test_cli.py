@@ -82,6 +82,26 @@ class TestExact:
         ])
         assert rc == 0
 
+    def test_same_run_same_bytes_at_any_path(self, tmp_path):
+        """The metadata records what was solved, not where it was
+        written, so one run written to two paths gives identical files."""
+        argv = ["exact", "--game", "pwar", "--deck", "6x1", "--rule",
+                "greater", "--uniform-size", "3"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b), "--seed", "5"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_shifted_strength_defaults_shift_to_n(self, tmp_path):
+        base = ["exact", "--game", "fwar", "--n", "3", "--strength",
+                "shifted", "--format", "json"]
+        default, explicit = tmp_path / "d.json", tmp_path / "e.json"
+        assert main(base + ["--out", str(default)]) == 0
+        assert main(base + ["--shift", "3", "--out", str(explicit)]) == 0
+        rows = json.loads(default.read_text())["states"]
+        assert rows == json.loads(explicit.read_text())["states"]
+        assert len(rows) == 24
+
     def test_oversized_deck_clean_error(self, capsys):
         rc = main([
             "exact", "--game", "pwar", "--rule", "coin",

@@ -93,18 +93,21 @@ class TestFwarStep:
 
 
 class TestFwarRun:
-    def test_run_equals_iterated_steps(self):
+    @pytest.mark.parametrize("return_order",
+                             ["random", "own_first", "captured_first"])
+    def test_run_equals_iterated_steps(self, return_order):
         deck = build_deck((6, 1))
         f = strength_builtin("identity")
         for trial in range(25):
             init = deal_iid(6, RngStream(7, trial))
             trace = fwar_run(init, f, deck, RngStream(70, trial),
-                             record_trajectory=True)
+                             record_trace=True, return_order=return_order)
             state, q = init, 0.0
             rng = RngStream(70, trial)
             q_traj = [0.0]
             while not state.is_absorbing:
-                state, product = fwar_step(state, f, deck, rng)
+                state, product = fwar_step(state, f, deck, rng,
+                                           return_order=return_order)
                 q += product
                 q_traj.append(q)
             assert trace.tau == state.round
@@ -130,7 +133,7 @@ class TestFwarRun:
             strength_builtin("identity"),
             deck,
             RngStream(9, 1),
-            record_trajectory=True,
+            record_trace=True,
         )
         assert trace.q_trajectory[0] == 0.0
         assert all(
@@ -143,7 +146,7 @@ class TestFwarRun:
         f = strength_builtin("exponential", lam=0.7)
         trace = fwar_run(
             deal_strongest(6, RngStream(10, 0)), f, deck, RngStream(11, 0),
-            record_trajectory=True,
+            record_trace=True,
         )
         # winner's final hand strength == tracked m within 1e-9 relative
         total = math.fsum(f.f(r) for r in range(1, 7))
@@ -160,7 +163,7 @@ class TestFwarRun:
         for i in range(50):
             trace = fwar_run(
                 deal_iid(n, RngStream(12, i)), f, deck, RngStream(13, i),
-                record_trajectory=True,
+                record_trace=True,
             )
             products = [
                 y - x

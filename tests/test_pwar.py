@@ -87,7 +87,7 @@ class TestPwarRun:
         for trial in range(20):
             init = deal_uniform(deck, 4, RngStream(11, trial))
             rec = pwar_run(init, rule, deck, RngStream(99, trial),
-                           record_trajectory=True)
+                           record_trace=True)
             state = init
             rng = RngStream(99, trial)
             sizes = [len(state.hand_a)]
@@ -95,26 +95,29 @@ class TestPwarRun:
                 state = pwar_step(state, rule, deck, rng)
                 sizes.append(len(state.hand_a))
             assert rec.tau == state.round
-            assert rec.a_trajectory == tuple(sizes)
+            assert rec.trace == tuple(sizes)
             assert rec.winner == ("A" if state.hand_a else "B")
 
     def test_trajectory_and_metadata(self):
         deck = build_deck((4, 1))
         rec = pwar_run(
             _state(deck, {1, 2}), rule_coin(), deck, RngStream(5, 3),
-            record_trajectory=True,
+            record_trace=True,
         )
-        assert rec.a_trajectory[0] == 2
-        assert rec.a_trajectory[-1] in (0, 4)
-        assert len(rec.a_trajectory) == rec.tau + 1
+        assert rec.trace[0] == 2
+        assert rec.trace[-1] in (0, 4)
+        assert len(rec.trace) == rec.tau + 1
         # consecutive sizes differ by exactly one card
         assert all(
             abs(x - y) == 1
-            for x, y in zip(rec.a_trajectory, rec.a_trajectory[1:])
+            for x, y in zip(rec.trace, rec.trace[1:])
         )
-        assert rec.metadata["rule"] == "coin"
-        assert rec.metadata["seed"] == 5
-        assert rec.metadata["stream_id"] == 3
+        assert rec.stream_id == 3
+        # the record is a pure function of (seed 5, stream 3)
+        assert rec == pwar_run(
+            _state(deck, {1, 2}), rule_coin(), deck, RngStream(5, 3),
+            record_trace=True,
+        )
 
     def test_truncation(self):
         deck = build_deck((8, 1))
@@ -160,11 +163,10 @@ class TestIncrementFairness:
     """Pooled and size-conditioned +-1 increments for symmetric rules."""
 
     def _increments(self, rule_name, seed, n_trials=2500):
-        cfg = PwarConfig(deck=(8, 1), rule=rule_name,
-                         record_trajectory=True)
+        cfg = PwarConfig(deck=(8, 1), rule=rule_name, record_trace=True)
         increments, sizes = [], []
         for r in run_trials(cfg, n_trials, seed):
-            traj = r.a_trajectory
+            traj = r.trace
             for t in range(len(traj) - 1):
                 increments.append(traj[t + 1] - traj[t])
                 sizes.append(traj[t])
@@ -193,7 +195,8 @@ class TestPwarConfig:
                          strength="identity")
         rec = cfg.run_trial(seed=1, stream_id=0)
         assert rec.winner in ("A", "B")
-        assert "bradley-terry" in rec.metadata["rule"]
+        _, rule = cfg.build()
+        assert rule.name == "bradley-terry(identity)"
 
     def test_identical_records_for_identical_streams(self):
         cfg = PwarConfig(deck=(13, 4), rule="greater-tiecoin")

@@ -1,13 +1,17 @@
 """Tests for the Monte Carlo harness, summaries, fairness test, emitters."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warlab import rules
+from warlab.core import TrialRecord, built
 from warlab.exact import srw_oracle
-from warlab.pwar import PwarConfig, TrialRecord
+from warlab.fwar import FwarConfig
+from warlab.pwar import PwarConfig
 from warlab.stats import (
     HistogramData,
     fairness_test,
@@ -59,10 +63,10 @@ class TestSummarize:
 
     def test_excludes_truncated_and_draws(self):
         records = [
-            TrialRecord(tau=5, winner="A"),
-            TrialRecord(tau=9, winner="B"),
-            TrialRecord(tau=1000, winner="Truncated"),
-            TrialRecord(tau=3, winner="Draw"),
+            TrialRecord(tau=5, winner="A", stream_id=0),
+            TrialRecord(tau=9, winner="B", stream_id=1),
+            TrialRecord(tau=1000, winner="Truncated", stream_id=2),
+            TrialRecord(tau=3, winner="Draw", stream_id=3),
         ]
         stats = summarize_records(records)
         assert stats.mean == 7.0
@@ -73,9 +77,9 @@ class TestSummarize:
 
     def test_win_frequency_excludes_undecided(self):
         records = [
-            TrialRecord(tau=1, winner="A"),
-            TrialRecord(tau=1, winner="B"),
-            TrialRecord(tau=1, winner="Truncated"),
+            TrialRecord(tau=1, winner="A", stream_id=0),
+            TrialRecord(tau=1, winner="B", stream_id=1),
+            TrialRecord(tau=1, winner="Truncated", stream_id=2),
         ]
         assert win_frequency(records) == 0.5
 
@@ -147,7 +151,7 @@ class TestRunTrials:
 
     def test_ordered_by_trial_index(self):
         records = run_trials(self.CFG, 50, seed=3)
-        assert [r.metadata["stream_id"] for r in records] == list(range(50))
+        assert [r.stream_id for r in records] == list(range(50))
 
     def test_identical_across_worker_counts(self):
         serial = run_trials(self.CFG, 200, seed=3)
@@ -156,13 +160,40 @@ class TestRunTrials:
 
     def test_stream_base_offsets_ids(self):
         records = run_trials(self.CFG, 10, seed=3, stream_base=100)
-        assert [r.metadata["stream_id"] for r in records] == list(
+        assert [r.stream_id for r in records] == list(
             range(100, 110)
         )
 
     def test_validation(self):
         with pytest.raises(ValueError):
             run_trials(self.CFG, 0, seed=1)
+
+    @pytest.mark.parametrize("cfg", [
+        PwarConfig(deck=(6, 1), rule="bradley-terry", strength="shifted"),
+        FwarConfig(n=6, strength="shifted", deal="iid"),
+    ], ids=["pwar", "fwar"])
+    def test_config_built_once(self, cfg, monkeypatch):
+        """All trials of one config share one deck and rule/strength."""
+        calls = Counter()
+
+        def counting(name):
+            inner = getattr(rules, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("rule_by_name", "strength_builtin"):
+            monkeypatch.setattr(rules, name, counting(name))
+        built.cache_clear()
+        records = run_trials(cfg, 100, seed=2)
+        assert len(records) == 100
+        expected = {"strength_builtin": 1}
+        if isinstance(cfg, PwarConfig):
+            expected["rule_by_name"] = 1
+        assert calls == expected
         with pytest.raises(ValueError):
             run_trials(self.CFG, 5, seed=1, workers=0)
 
