@@ -74,6 +74,8 @@ def _play(state, tie, deck, rng, max_rounds, min_hand, record_trace):
     B collected it and 0 when a runout ends the game."""
     if not state.ordered:
         raise ValueError("classic war uses ordered (tuple) hands")
+    if min_hand < 1:
+        raise ValueError(f"min_hand must be at least 1, got {min_hand}")
     a = deque(state.hand_a)
     b = deque(state.hand_b)
     ranks = deck.ranks

@@ -286,7 +286,9 @@ def cmd_exact(args) -> int:
         raise ValueError("exact supports --game pwar or fwar")
     print(f"{len(rows)} states solved")
     if args.out:
-        meta = run_metadata(config=inputs, game=args.game, summary=summary)
+        solve = {"method": result.method, "residual": result.residual}
+        meta = run_metadata(config=inputs, game=args.game, summary=summary,
+                            solve=solve)
         if args.format == "json":
             write_json(args.out, {"metadata": meta, "states": rows,
                                   "summary": summary})

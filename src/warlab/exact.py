@@ -2,9 +2,10 @@
 
 Full state-space enumeration for both engines, the standard first-step
 linear systems for absorption probability and expected absorption time
-(direct sparse LU, residual-checked), a simple-random-walk oracle, one-step
-uniformity preservation for symmetric rules, the exact-rational counting
-identity behind it, and zero-drift verification of the strength martingales.
+(GMRES with a sparse-LU fallback, residual-checked either way), a
+simple-random-walk oracle, one-step uniformity preservation for symmetric
+rules, the exact-rational counting identity behind it, and zero-drift
+verification of the strength martingales.
 
 State indexing is canonical so results reproduce across runs and platforms:
 random-draw states are the bitmask of the first player's card ids (the mask
@@ -21,8 +22,8 @@ from math import comb, factorial
 from typing import Iterator
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity
-from scipy.sparse.linalg import splu
+from scipy.sparse import csr_matrix, identity
+from scipy.sparse.linalg import gmres, splu
 
 from .core import Deck, StrengthFunction, WinningRule
 
@@ -34,6 +35,11 @@ MAX_FWAR_N = 7
 ROW_SUM_TOL = 1e-12
 #: Linear solves are rejected if the residual exceeds this.
 RESIDUAL_TOL = 1e-9
+#: GMRES relative tolerance (2-norm of the residual over that of the
+#: right-hand side) and cap on its restart cycles of 20 iterations each;
+#: the chains tried up to the enumeration limits converged within 7.
+GMRES_RTOL = 1e-14
+GMRES_MAXITER = 50
 
 _EMPTY: frozenset = frozenset()
 
@@ -92,10 +98,17 @@ class StateSpace:
 @dataclass
 class SolveResult:
     """Per-state win probability for the first player and expected
-    rounds to absorption; zero/one consistent at absorbing states."""
+    rounds to absorption; zero/one consistent at absorbing states.
+
+    ``method`` is the solver whose answers were kept ("gmres" or
+    "splu"; "none" when every state is absorbing) and ``residual`` the
+    larger max-abs residual of the two systems.
+    """
 
     win_prob_a: np.ndarray
     expected_tau: np.ndarray
+    method: str
+    residual: float
 
 
 def _check_row_sums(space: StateSpace) -> None:
@@ -117,6 +130,33 @@ def _check_row_sums(space: StateSpace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _pwar_successors(mask: int, deck: Deck, rule: WinningRule) -> dict:
+    """Next-state probabilities from the non-absorbing random-draw state
+    ``mask``: each of the |A||B| card pairs is drawn with probability
+    1/(|A||B|), then resolved by the rule. Keys are next masks, in the
+    order the pairs first reach them."""
+    d = deck.size
+    cards = deck.cards
+    ev = rule.eval
+    a_ids = [i for i in range(d) if mask >> i & 1]
+    b_ids = [i for i in range(d) if not mask >> i & 1]
+    base = 1.0 / (len(a_ids) * len(b_ids))
+    out: dict[int, float] = {}
+    for a_id in a_ids:
+        if rule.uses_hand:
+            s = frozenset(x for x in a_ids if x != a_id)
+        else:
+            s = _EMPTY
+        a = cards[a_id]
+        lose_mask = mask & ~(1 << a_id)
+        for b_id in b_ids:
+            p = ev(a, cards[b_id], s, deck)
+            win_mask = mask | (1 << b_id)
+            out[win_mask] = out.get(win_mask, 0.0) + base * p
+            out[lose_mask] = out.get(lose_mask, 0.0) + base * (1.0 - p)
+    return out
+
+
 def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
     """Enumerate the 2^size random-draw states and their transitions.
 
@@ -129,10 +169,7 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
             f"{d}-card deck exceeds the {MAX_PWAR_CARDS}-card "
             f"enumeration limit (2^size states)"
         )
-    cards = deck.cards
     full = (1 << d) - 1
-    uses_hand = rule.uses_hand
-    ev = rule.eval
     n_states = 1 << d
     absorbing = np.zeros(n_states, dtype=bool)
     absorbing[0] = absorbing[full] = True
@@ -141,26 +178,8 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
     rows: list[int] = []
     cols: list[int] = []
     probs: list[float] = []
-    for mask in range(n_states):
-        if mask == 0 or mask == full:
-            continue
-        a_ids = [i for i in range(d) if mask >> i & 1]
-        b_ids = [i for i in range(d) if not mask >> i & 1]
-        base = 1.0 / (len(a_ids) * len(b_ids))
-        out: dict[int, float] = {}
-        for a_id in a_ids:
-            if uses_hand:
-                s = frozenset(x for x in a_ids if x != a_id)
-            else:
-                s = _EMPTY
-            a = cards[a_id]
-            lose_mask = mask & ~(1 << a_id)
-            for b_id in b_ids:
-                p = ev(a, cards[b_id], s, deck)
-                win_mask = mask | (1 << b_id)
-                out[win_mask] = out.get(win_mask, 0.0) + base * p
-                out[lose_mask] = out.get(lose_mask, 0.0) + base * (1.0 - p)
-        for nxt, pr in out.items():
+    for mask in range(1, full):
+        for nxt, pr in _pwar_successors(mask, deck, rule).items():
             rows.append(mask)
             cols.append(nxt)
             probs.append(pr)
@@ -268,12 +287,51 @@ def _unreachable_states(space: StateSpace) -> list[int]:
     return [int(i) for i in np.flatnonzero(~seen)]
 
 
+def _max_residual(a_mat, x: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a_mat @ x - b), initial=0.0))
+
+
+def _solve_systems(a_mat, rhs: list) -> tuple[list, str, float]:
+    """Solve ``a_mat x = b`` for each ``b`` in ``rhs``.
+
+    GMRES answers are kept only when every system converged (at the
+    first try or after one warm restart) and each recomputed max-abs
+    residual is within ``RESIDUAL_TOL``; otherwise one sparse-LU
+    factorization of the same matrix solves them all. Returns the
+    solutions, the method kept and the largest residual.
+    """
+    method = "gmres"
+    xs = []
+    for b in rhs:
+        x, info = gmres(a_mat, b, rtol=GMRES_RTOL, atol=0.0,
+                        maxiter=GMRES_MAXITER)
+        if info != 0:
+            # An exact Arnoldi breakdown can end GMRES with a residual
+            # a few times GMRES_RTOL |b| when |b| is small (the 14-card
+            # coin win system under single-threaded BLAS); one warm
+            # restart from that answer converges.
+            x, info = gmres(a_mat, b, x0=x, rtol=GMRES_RTOL, atol=0.0,
+                            maxiter=GMRES_MAXITER)
+        if info != 0 or _max_residual(a_mat, x, b) > RESIDUAL_TOL:
+            lu = splu(a_mat.tocsc())
+            xs = [lu.solve(v) for v in rhs]
+            method = "splu"
+            break
+        xs.append(x)
+    residual = max(_max_residual(a_mat, x, b) for x, b in zip(xs, rhs))
+    return xs, method, residual
+
+
 def absorption_solve(space: StateSpace) -> SolveResult:
     """Solve the first-step equations for win probability and E[rounds].
 
     win[i] = sum_j P(i, j) win[j] with boundary 1/0 at the absorbing
     states, and tau[i] = 1 + sum_j P(i, j) tau[j] with tau = 0 there.
-    Direct sparse LU; residuals above ``RESIDUAL_TOL`` raise. States from
+    Both systems are solved by GMRES; if either does not converge or its
+    residual exceeds ``RESIDUAL_TOL``, both go through sparse LU instead
+    (LU fill makes that path slow on the largest chains). The result
+    records the path kept and the larger residual. Residuals above
+    ``RESIDUAL_TOL`` after either path raise ``ValueError``. States from
     which absorption is not almost sure raise ``AbsorptionError`` with a
     recurrent-class witness.
     """
@@ -290,6 +348,7 @@ def absorption_solve(space: StateSpace) -> SolveResult:
     n_t = transient.size
     win = space.absorbing_win.copy()
     tau = np.zeros(n)
+    method, residual = "none", 0.0
     if n_t:
         t_index = -np.ones(n, dtype=np.int64)
         t_index[transient] = np.arange(n_t)
@@ -299,7 +358,7 @@ def absorption_solve(space: StateSpace) -> SolveResult:
         cols_full = space.trans_cols[keep]
         probs = space.trans_probs[keep]
         to_transient = ~space.absorbing[cols_full]
-        q = csc_matrix(
+        q = csr_matrix(
             (
                 probs[to_transient],
                 (rows[to_transient], t_index[cols_full[to_transient]]),
@@ -313,21 +372,18 @@ def absorption_solve(space: StateSpace) -> SolveResult:
             rows[to_abs],
             probs[to_abs] * space.absorbing_win[cols_full[to_abs]],
         )
-        a_mat = (identity(n_t, format="csc") - q).tocsc()
-        lu = splu(a_mat)
-        x_win = lu.solve(b_win)
-        ones = np.ones(n_t)
-        x_tau = lu.solve(ones)
-        res_win = np.max(np.abs(a_mat @ x_win - b_win), initial=0.0)
-        res_tau = np.max(np.abs(a_mat @ x_tau - ones), initial=0.0)
-        if max(res_win, res_tau) > RESIDUAL_TOL:
+        a_mat = identity(n_t, format="csr") - q
+        (x_win, x_tau), method, residual = _solve_systems(
+            a_mat, [b_win, np.ones(n_t)]
+        )
+        if residual > RESIDUAL_TOL:
             raise ValueError(
-                f"solver residual {max(res_win, res_tau):.3e} exceeds "
-                f"{RESIDUAL_TOL}"
+                f"solver residual {residual:.3e} exceeds {RESIDUAL_TOL}"
             )
         win[transient] = x_win
         tau[transient] = x_tau
-    return SolveResult(win_prob_a=win, expected_tau=tau)
+    return SolveResult(win_prob_a=win, expected_tau=tau, method=method,
+                       residual=residual)
 
 
 def solve_rows(space: StateSpace, result: SolveResult) -> Iterator[dict]:
@@ -383,25 +439,24 @@ def verify_uniform_preservation(
     half/half mixture of the uniform distributions over sizes k-1 and
     k+1. Returns the largest absolute per-state deviation; symmetric
     rules sit at rounding level, non-symmetric rules visibly break it.
+    Only the size-k states are stepped, with the transitions
+    ``enumerate_pwar`` builds for them.
     """
     d = deck.size
     if d > 12:
         raise ValueError("uniformity check is limited to 12-card decks")
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be a non-absorbing size in [1, {d - 1}]")
-    space = enumerate_pwar(deck, rule)
-    pi0 = np.zeros(space.n_states)
-    start = [m for m in space.states if bin(m).count("1") == k]
-    pi0[start] = 1.0 / len(start)
-    pi1 = np.zeros(space.n_states)
-    np.add.at(
-        pi1,
-        space.trans_cols,
-        space.trans_probs * pi0[space.trans_rows],
-    )
-    target = np.zeros(space.n_states)
-    lo = [m for m in space.states if bin(m).count("1") == k - 1]
-    hi = [m for m in space.states if bin(m).count("1") == k + 1]
+    masks = range(1 << d)
+    start = [m for m in masks if bin(m).count("1") == k]
+    w = 1.0 / len(start)
+    pi1 = np.zeros(1 << d)
+    for mask in start:
+        for nxt, pr in _pwar_successors(mask, deck, rule).items():
+            pi1[nxt] += pr * w
+    target = np.zeros(1 << d)
+    lo = [m for m in masks if bin(m).count("1") == k - 1]
+    hi = [m for m in masks if bin(m).count("1") == k + 1]
     target[lo] = 0.5 / len(lo)
     target[hi] = 0.5 / len(hi)
     return float(np.max(np.abs(pi1 - target)))

@@ -130,6 +130,12 @@ class TestClassicRun:
             assert rec.tau == state.round
             assert rec.winner == outcome
 
+    def test_min_hand_below_one_rejected(self):
+        """With min_hand 0 an emptied hand would play on from an empty
+        deque; the engine refuses the setting instead."""
+        with pytest.raises(ValueError, match="min_hand"):
+            ClassicConfig(deck=(4, 1), min_hand=0).run_trial(0, 0)
+
     def test_card_conservation_through_nested_wars(self):
         """Final hands always hold exactly the deck, runouts included."""
         deck = build_deck((3, 4))  # many ties, frequent wars

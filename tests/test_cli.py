@@ -1,11 +1,14 @@
 """Tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import warlab
 from warlab.cli import main
 from warlab.stats import read_csv_with_metadata
 
@@ -52,6 +55,14 @@ class TestSimulate:
             "--trials", "0",
         ]) == 2
 
+    def test_classic_min_hand_below_one_clean_error(self, capsys):
+        rc = main([
+            "simulate", "--game", "classic", "--deck", "4x1",
+            "--min-hand", "0", "--trials", "5",
+        ])
+        assert rc == 2
+        assert "min_hand" in capsys.readouterr().err
+
     def test_unknown_rule_lists_valid_names(self, capsys):
         rc = main([
             "simulate", "--game", "pwar", "--rule", "bogus",
@@ -74,6 +85,8 @@ class TestExact:
         meta, rows = read_csv_with_metadata(out)
         assert meta["summary"]["srw_tau"] == 16.0
         assert len(rows) == 1 + 2**8
+        assert meta["solve"]["method"] == "gmres"
+        assert 0.0 < meta["solve"]["residual"] <= 1e-9
 
     def test_fwar_strongest_comparison(self):
         rc = main([
@@ -215,9 +228,17 @@ class TestConfigFile:
 
 class TestEntryPoints:
     def test_module_help(self):
+        """Runs from a checkout: the child finds the package under test
+        through PYTHONPATH, as pytest's own ``pythonpath`` is not
+        inherited."""
+        src = str(Path(warlab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "warlab", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         for sub in ("simulate", "exact", "verify", "reproduce"):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from warlab import exact
 from warlab.core import WinningRule, build_deck
 from warlab.exact import (
     AbsorptionError,
@@ -180,6 +181,146 @@ class TestAbsorptionSolve:
         assert len(rows) == 4
         assert rows[3]["win_prob_a"] == 1.0
         assert {r["state"] for r in rows} == {"0", "1", "2", "3"}
+
+
+_GMRES = exact.gmres
+
+
+def _no_convergence(a_mat, b, **kwargs):
+    """Stands in for ``gmres``: its answer, flagged as not converged."""
+    return _GMRES(a_mat, b, **kwargs)[0], 1
+
+
+def _wrong_answer(a_mat, b, **kwargs):
+    """Stands in for ``gmres``: a wrong answer flagged as converged."""
+    return np.zeros_like(b), 0
+
+
+def _solve_patched(space, monkeypatch, fake_gmres=_no_convergence):
+    """The solve with ``gmres`` replaced by ``fake_gmres``; by default it
+    never converges, so this is the LU path."""
+    with monkeypatch.context() as m:
+        m.setattr(exact, "gmres", fake_gmres)
+        return absorption_solve(space)
+
+
+_AGREEMENT_CHAINS = {
+    f"{rule}-{deck[0]}x{deck[1]}": (
+        lambda rule=rule, deck=deck: enumerate_pwar(
+            build_deck(deck), rule_by_name(rule)
+        )
+    )
+    for rule in ("coin", "powered", "greater-tiecoin")
+    for deck in ((10, 1), (3, 4))
+}
+_AGREEMENT_CHAINS.update({
+    "fwar-6-identity": lambda: enumerate_fwar(
+        6, strength_builtin("identity")
+    ),
+    "fwar-6-exponential": lambda: enumerate_fwar(
+        6, strength_builtin("exponential", lam=1.0)
+    ),
+})
+
+
+class TestSolverPaths:
+    @pytest.mark.parametrize("chain", sorted(_AGREEMENT_CHAINS))
+    def test_gmres_agrees_with_splu(self, chain, monkeypatch):
+        space = _AGREEMENT_CHAINS[chain]()
+        fast = absorption_solve(space)
+        ref = _solve_patched(space, monkeypatch)
+        assert (fast.method, ref.method) == ("gmres", "splu")
+        assert 0.0 < fast.residual <= exact.RESIDUAL_TOL
+        assert 0.0 < ref.residual <= exact.RESIDUAL_TOL
+        assert np.max(np.abs(fast.win_prob_a - ref.win_prob_a)) <= 1e-12
+        assert np.max(np.abs(fast.expected_tau - ref.expected_tau)) <= 1e-12
+
+    def test_fallback_when_gmres_does_not_converge(self, monkeypatch):
+        """A non-converged GMRES answer is discarded for the LU one."""
+        from scipy.sparse.linalg import splu
+
+        factored = []
+
+        def recording_splu(a_mat):
+            factored.append(a_mat)
+            return splu(a_mat)
+
+        space = enumerate_pwar(build_deck((6, 1)), rule_powered())
+        monkeypatch.setattr(exact, "splu", recording_splu)
+        result = _solve_patched(space, monkeypatch)
+        assert result.method == "splu"
+        assert result.residual <= exact.RESIDUAL_TOL
+        assert absorption_solve(space).method == "gmres"
+        (a_mat,) = factored
+        lu = splu(a_mat)
+        t = ~space.absorbing
+        b_win = np.zeros(space.n_states)
+        np.add.at(b_win, space.trans_rows,
+                  space.trans_probs * space.absorbing_win[space.trans_cols])
+        assert np.array_equal(result.win_prob_a[t], lu.solve(b_win[t]))
+        assert np.array_equal(result.expected_tau[t],
+                              lu.solve(np.ones(int(t.sum()))))
+
+    def test_fallback_when_gmres_residual_too_large(self, monkeypatch):
+        """A GMRES answer that claims convergence but misses the residual
+        gate is discarded too."""
+        space = enumerate_pwar(build_deck((6, 1)), rule_coin())
+        result = _solve_patched(space, monkeypatch, _wrong_answer)
+        ref = _solve_patched(space, monkeypatch)
+        assert result.method == "splu"
+        assert np.array_equal(result.win_prob_a, ref.win_prob_a)
+        assert np.array_equal(result.expected_tau, ref.expected_tau)
+
+    def test_warm_restart_before_fallback(self, monkeypatch):
+        """A first GMRES call that stops short is restarted from its
+        answer, and a converged restart is kept."""
+        starts = []
+
+        def first_call_stops_short(a_mat, b, x0=None, **kwargs):
+            starts.append(x0)
+            x, info = _GMRES(a_mat, b, x0=x0, **kwargs)
+            return x, (1 if x0 is None else info)
+
+        space = enumerate_pwar(build_deck((6, 1)), rule_powered())
+        result = _solve_patched(space, monkeypatch, first_call_stops_short)
+        assert result.method == "gmres"
+        assert result.residual <= exact.RESIDUAL_TOL
+        assert [x0 is None for x0 in starts] == [True, False, True, False]
+
+    def test_both_paths_over_tolerance_raise(self, monkeypatch):
+        class _BadLU:
+            def solve(self, b):
+                return np.zeros_like(b)
+
+        space = enumerate_pwar(build_deck((6, 1)), rule_coin())
+        monkeypatch.setattr(exact, "gmres", _wrong_answer)
+        monkeypatch.setattr(exact, "splu", lambda a_mat: _BadLU())
+        with pytest.raises(ValueError, match="residual"):
+            absorption_solve(space)
+
+    def test_coin_at_the_card_limit(self):
+        """14 cards: every size-k hand wins w.p. k/14 after k(14-k)
+        expected rounds."""
+        d = exact.MAX_PWAR_CARDS
+        space = enumerate_pwar(build_deck((d, 1)), rule_coin())
+        result = absorption_solve(space)
+        assert result.method == "gmres"
+        sizes = np.array([bin(m).count("1") for m in space.states])
+        for k in range(d + 1):
+            oracle_tau, oracle_win = srw_oracle(d, k)
+            at_k = sizes == k
+            assert np.max(np.abs(result.expected_tau[at_k] - oracle_tau)) \
+                <= EXACT_TOL
+            assert np.max(np.abs(result.win_prob_a[at_k] - oracle_win)) \
+                <= EXACT_TOL
+
+    def test_strongest_deal_at_the_fwar_limit(self):
+        n = exact.MAX_FWAR_N
+        f = strength_builtin("identity")
+        assert absorption_solve(enumerate_fwar(n, f)).method == "gmres"
+        assert strongest_deal_exact_win_prob(n, f) == pytest.approx(
+            strongest_deal_win_prob(f, n), abs=EXACT_TOL
+        )
 
 
 class TestSrwOracle:
