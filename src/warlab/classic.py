@@ -84,6 +84,7 @@ def _play(state, tie, deck, rng, max_rounds, min_hand, record_trace):
     face_down = tie.face_down
     need = face_down + 1
     shuffle = rng.shuffle
+    getrandbits = rng.getrandbits
     rand = rng.random
     piles = [] if record_trace else None
     rounds = 0
@@ -101,60 +102,81 @@ def _play(state, tie, deck, rng, max_rounds, min_hand, record_trace):
         if rounds >= max_rounds:
             winner = TRUNCATED
             break
+        rounds += 1
         ca = a.popleft()
         cb = b.popleft()
-        pile = [ca, cb]
-        winner = None
-        while True:
-            ra = ranks[ca]
-            rb = ranks[cb]
-            if ra != rb:
-                a_won = ra > rb
-                break
-            if not war:
-                a_won = rand() <= 0.5
-                break
-            a_ok = len(a) >= need
-            b_ok = len(b) >= need
-            if not a_ok and not b_ok:
-                # Simultaneous runout: annul the war so the terminal state
-                # still conserves cards (stakes go back to their owners).
-                a.extend(pile[0::2])
-                b.extend(pile[1::2])
-                winner = DRAW
-                break
-            if not a_ok:
-                b.extend(pile)
-                b.extend(a)
-                a.clear()
-                winner = WINNER_B
-                break
-            if not b_ok:
-                a.extend(pile)
-                a.extend(b)
-                b.clear()
-                winner = WINNER_A
-                break
-            for _ in range(face_down):
-                pile.append(a.popleft())
-                pile.append(b.popleft())
-            ca = a.popleft()
-            cb = b.popleft()
-            pile.append(ca)
-            pile.append(cb)
-        rounds += 1
-        if winner is not None:
-            # A runout ended the game mid-war.
-            if piles is not None:
-                piles.append(0)
-            break
-        shuffle(pile)
-        if a_won:
-            a.extend(pile)
-            signed = len(pile)
+        ra = ranks[ca]
+        rb = ranks[cb]
+        if ra != rb or not war:
+            # A two-card pile, shuffled inline with the words shuffle()
+            # would use: one uniform index below 2 by rejection, where 0
+            # puts cb first.
+            a_won = ra > rb if ra != rb else rand() <= 0.5
+            j = getrandbits(2)
+            while j >= 2:
+                j = getrandbits(2)
+            if a_won:
+                hand = a
+                signed = 2
+            else:
+                hand = b
+                signed = -2
+            if j:
+                hand.append(ca)
+                hand.append(cb)
+            else:
+                hand.append(cb)
+                hand.append(ca)
         else:
-            b.extend(pile)
-            signed = -len(pile)
+            pile = [ca, cb]
+            winner = None
+            while True:
+                a_ok = len(a) >= need
+                b_ok = len(b) >= need
+                if not a_ok and not b_ok:
+                    # Simultaneous runout: annul the war so the terminal
+                    # state still conserves cards (stakes go back to their
+                    # owners).
+                    a.extend(pile[0::2])
+                    b.extend(pile[1::2])
+                    winner = DRAW
+                    break
+                if not a_ok:
+                    b.extend(pile)
+                    b.extend(a)
+                    a.clear()
+                    winner = WINNER_B
+                    break
+                if not b_ok:
+                    a.extend(pile)
+                    a.extend(b)
+                    b.clear()
+                    winner = WINNER_A
+                    break
+                for _ in range(face_down):
+                    pile.append(a.popleft())
+                    pile.append(b.popleft())
+                ca = a.popleft()
+                cb = b.popleft()
+                pile.append(ca)
+                pile.append(cb)
+                ra = ranks[ca]
+                rb = ranks[cb]
+                if ra != rb:
+                    a_won = ra > rb
+                    break
+            if winner is not None:
+                # A runout ended the game mid-war.
+                if piles is not None:
+                    piles.append(0)
+                break
+            shuffle(pile)
+            if a_won:
+                a.extend(pile)
+                signed = len(pile)
+            else:
+                b.extend(pile)
+                signed = -len(pile)
         if piles is not None:
             piles.append(signed)
         if __debug__:

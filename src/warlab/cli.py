@@ -204,13 +204,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_exact(args) -> int:
     from .exact import (
+        _deal_win_prob,
         absorption_solve,
         average_uniform_hands,
         enumerate_fwar,
         enumerate_pwar,
         solve_rows,
         srw_oracle,
-        strongest_deal_exact_win_prob,
     )
     from .fwar import strongest_deal_win_prob
     from .stats import run_metadata, write_json, write_table_csv
@@ -265,7 +265,7 @@ def cmd_exact(args) -> int:
         rows = list(solve_rows(space, result))
         summary = {}
         if args.deal == "strongest":
-            exact_p = strongest_deal_exact_win_prob(args.n, strength)
+            exact_p = _deal_win_prob(space, result, "strongest")
             formula_p = strongest_deal_win_prob(strength, args.n)
             dev = abs(exact_p - formula_p)
             ok = dev <= 1e-9

@@ -10,6 +10,7 @@ how trials are distributed over workers.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -259,28 +260,79 @@ class StrengthFunction:
 class RngStream:
     """Deterministic per-trial random stream.
 
-    The underlying generator is the stdlib Mersenne Twister seeded with the
-    SHA-256 digest of ``"{seed}:{stream_id}"``, so the draw sequence is a
-    pure function of ``(seed, stream_id)`` and distinct stream ids give
-    statistically independent streams. The bound methods ``random``,
-    ``randrange``, ``shuffle`` and ``sample`` are exposed as attributes so
-    hot loops pay no delegation cost.
+    The contract: an MT19937 generator (the stdlib ``random.Random``)
+    seeded with the SHA-256 digest of ``"{seed}:{stream_id}"``, so the
+    draw sequence is a pure function of ``(seed, stream_id)`` and distinct
+    stream ids give statistically independent streams. Its ``random()``
+    (53-bit floats from two 32-bit words) and ``getrandbits(k)`` (one word
+    per call for ``k <= 32``) are the only generator calls; :meth:`shuffle`
+    and :meth:`sample` are warlab's own, written over ``getrandbits``, so no
+    draw depends on the private helpers of ``Lib/random.py``. They consume
+    the same words as CPython 3.11's ``Random.shuffle``/``Random.sample``
+    and give the same results. ``random`` and ``getrandbits`` are bound
+    methods stored as attributes, so hot loops pay no delegation cost.
     """
 
-    __slots__ = ("seed", "stream_id", "random", "randrange", "shuffle",
-                 "sample", "_rng")
+    __slots__ = ("seed", "stream_id", "random", "getrandbits")
 
     algorithm = RNG_ALGORITHM
 
     def __init__(self, seed: int, stream_id: int = 0):
         material = hashlib.sha256(f"{seed}:{stream_id}".encode()).digest()
-        self._rng = random.Random(int.from_bytes(material, "big"))
+        rng = random.Random(int.from_bytes(material, "big"))
         self.seed = seed
         self.stream_id = stream_id
-        self.random = self._rng.random
-        self.randrange = self._rng.randrange
-        self.shuffle = self._rng.shuffle
-        self.sample = self._rng.sample
+        self.random = rng.random
+        self.getrandbits = rng.getrandbits
+
+    def shuffle(self, x: list) -> None:
+        """Shuffle ``x`` in place (Fisher-Yates from the back). Position
+        ``i`` swaps with a uniform index below ``i + 1``, drawn by
+        rejection: ``getrandbits(n.bit_length())`` until it is below
+        ``n``."""
+        getrandbits = self.getrandbits
+        for i in reversed(range(1, len(x))):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+    def sample(self, population: Sequence, k: int) -> list:
+        """``k`` elements of ``population`` at distinct positions, chosen
+        uniformly, in selection order. Small populations are drawn from a shrinking pool;
+        when ``k`` is small against ``len(population)`` positions are drawn
+        with replacement and redrawn when already taken. Both branches and
+        the size that picks between them are CPython 3.11's."""
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("sample larger than population or is negative")
+        getrandbits = self.getrandbits
+        result = [None] * k
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        if n <= setsize:
+            pool = list(population)
+            for i in range(k):
+                m = n - i
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                result[i] = pool[j]
+                pool[j] = pool[m - 1]
+        else:
+            bits = n.bit_length()
+            selected = set()
+            for i in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                selected.add(j)
+                result[i] = population[j]
+        return result
 
 
 def bernoulli_flag(p: float, rng: RngStream) -> bool:

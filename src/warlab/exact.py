@@ -514,6 +514,25 @@ def verify_martingales(
     return drift_m, drift_q
 
 
+def _deal_win_prob(space: StateSpace, result: SolveResult,
+                   deal: str) -> float:
+    """First-player win probability under an ``iid`` or ``strongest``
+    deal of a solved top-card chain: the per-state probabilities weighted
+    by the deal's law. Every card goes to the first hand by a fair coin
+    (except the strongest, which ``strongest`` puts there) and both hands
+    are uniformly permuted."""
+    n = space.n_cards
+    strongest = n - 1 if deal == "strongest" else None
+    base = 0.5 ** (n - 1 if strongest is not None else n)
+    total = 0.0
+    for i, (a, b) in enumerate(space.states):
+        if strongest is not None and strongest not in a:
+            continue
+        weight = base / (factorial(len(a)) * factorial(len(b)))
+        total += weight * float(result.win_prob_a[i])
+    return total
+
+
 def strongest_deal_exact_win_prob(
     n: int, strength: StrengthFunction
 ) -> float:
@@ -522,26 +541,11 @@ def strongest_deal_exact_win_prob(
     card is in the first hand, every other card by a fair coin, and both
     hands uniformly permuted."""
     space = enumerate_fwar(n, strength)
-    result = absorption_solve(space)
-    strongest = n - 1
-    base = 0.5 ** (n - 1)
-    total = 0.0
-    for i, (a, b) in enumerate(space.states):
-        if strongest not in a:
-            continue
-        weight = base / (factorial(len(a)) * factorial(len(b)))
-        total += weight * float(result.win_prob_a[i])
-    return total
+    return _deal_win_prob(space, absorption_solve(space), "strongest")
 
 
 def iid_deal_exact_win_prob(n: int, strength: StrengthFunction) -> float:
     """Exact win probability under the iid fair-coin deal (hands then
     uniformly permuted); by player exchangeability this equals 1/2."""
     space = enumerate_fwar(n, strength)
-    result = absorption_solve(space)
-    base = 0.5**n
-    total = 0.0
-    for i, (a, b) in enumerate(space.states):
-        weight = base / (factorial(len(a)) * factorial(len(b)))
-        total += weight * float(result.win_prob_a[i])
-    return total
+    return _deal_win_prob(space, absorption_solve(space), "iid")

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .core import DRAW, RNG_ALGORITHM, TRUNCATED, WINNER_A, WINNER_B
 
@@ -214,6 +213,8 @@ def fairness_test(
     that are fair only on average. Groups below ``MIN_GROUP`` increments
     are an error. Returns (chi_sq, p_value).
     """
+    from scipy.stats import chi2
+
     n = len(increments)
     if n < MIN_GROUP:
         raise ValueError(
@@ -244,7 +245,7 @@ def fairness_test(
             (m - ups) - expected
         ) ** 2 / expected
     df = len(groups)
-    p_value = float(scipy.stats.chi2.sf(chi_sq, df))
+    p_value = float(chi2.sf(chi_sq, df))
     return chi_sq, p_value
 
 

@@ -4,6 +4,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warlab.classic import (
     ClassicConfig,
@@ -129,6 +131,38 @@ class TestClassicRun:
                                               min_hand=min_hand)
             assert rec.tau == state.round
             assert rec.winner == outcome
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 4), min_size=2, max_size=14),
+        data=st.data(),
+        kind=st.sampled_from(["war_round", "coin_flip"]),
+        face_down=st.integers(0, 2),
+        min_hand=st.integers(1, 2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_steps_equal_run_and_conserve(self, ranks, data, kind,
+                                          face_down, min_hand, seed):
+        """On any deck shape and tie policy, iterating classic_step gives
+        the run's tau and winner, draws the same words from the stream,
+        and every intermediate state holds exactly the deck."""
+        deck = build_deck(ranks)
+        tie = TiePolicy(kind=kind, face_down=face_down)
+        size_a = data.draw(st.integers(1, deck.size - 1))
+        init = deal_uniform(deck, size_a, RngStream(seed, 0), ordered=True)
+        cap = 500
+        run_rng, step_rng = RngStream(seed, 1), RngStream(seed, 1)
+        rec = classic_run(init, tie, deck, run_rng, max_rounds=cap,
+                          min_hand=min_hand, record_trace=True)
+        state, outcome = init, None
+        while outcome is None and state.round < cap:
+            state, outcome = classic_step(state, tie, deck, step_rng,
+                                          min_hand=min_hand)
+            assert sorted(state.hand_a + state.hand_b) == list(
+                range(deck.size))
+        assert rec.tau == state.round == len(rec.trace)
+        assert rec.winner == (outcome or "Truncated")
+        assert run_rng.random() == step_rng.random()
 
     def test_min_hand_below_one_rejected(self):
         """With min_hand 0 an emptied hand would play on from an empty

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import warlab
+from warlab import exact
 from warlab.cli import main
+from warlab.rules import strength_builtin
 from warlab.stats import read_csv_with_metadata
 
 
@@ -94,6 +97,32 @@ class TestExact:
             "--n", "3", "--deal", "strongest",
         ])
         assert rc == 0
+
+    def test_fwar_strongest_solves_once(self, monkeypatch, tmp_path):
+        """The strongest-deal comparison weights the chain the command
+        already solved instead of enumerating and solving it again."""
+        calls = Counter()
+
+        def counting(name):
+            inner = getattr(exact, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("enumerate_fwar", "absorption_solve"):
+            monkeypatch.setattr(exact, name, counting(name))
+        out = tmp_path / "s.json"
+        assert main(["exact", "--game", "fwar", "--n", "5", "--deal",
+                     "strongest", "--format", "json", "--out",
+                     str(out)]) == 0
+        assert calls == {"enumerate_fwar": 1, "absorption_solve": 1}
+        summary = json.loads(out.read_text())["summary"]
+        expected = exact.strongest_deal_exact_win_prob(
+            5, strength_builtin("identity"))
+        assert summary["exact_win_prob"] == expected
 
     def test_same_run_same_bytes_at_any_path(self, tmp_path):
         """The metadata records what was solved, not where it was

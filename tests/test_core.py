@@ -1,6 +1,8 @@
 """Tests for deck construction, dealing, the RNG contract and state types."""
 
+import hashlib
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -104,6 +106,63 @@ class TestRngStream:
         expected = n / n_bins
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < CHI2_CRIT[99], f"chi2={chi2:.1f}"
+
+
+def _cpython_stream(seed, stream_id):
+    """The stdlib generator the contract names, seeded independently of
+    RngStream."""
+    material = hashlib.sha256(f"{seed}:{stream_id}".encode()).digest()
+    return random.Random(int.from_bytes(material, "big"))
+
+
+def _setsize(k):
+    """CPython 3.11's pool/set threshold in ``Random.sample``."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+class TestOwnShuffleAndSample:
+    """RngStream.shuffle/sample are warlab's own code over getrandbits,
+    yet return exactly what CPython's Random.shuffle/sample return from the
+    same state and consume the same 32-bit words (the next random() then
+    agrees too)."""
+
+    N_STREAMS = 200
+
+    @staticmethod
+    def _size(sid):
+        # Quadratic in the stream id: many small lists, up to 1000.
+        return sid * sid * 1000 // 199**2
+
+    def test_shuffle_matches_cpython(self):
+        for sid in range(self.N_STREAMS):
+            ours, ref = RngStream(11, sid), _cpython_stream(11, sid)
+            n = self._size(sid)
+            for _ in range(2):
+                x, y = list(range(n)), list(range(n))
+                ours.shuffle(x)
+                ref.shuffle(y)
+                assert x == y, (sid, n)
+            assert ours.random() == ref.random(), sid
+
+    def test_sample_matches_cpython(self):
+        branches = Counter()
+        for sid in range(self.N_STREAMS):
+            ours, ref = RngStream(12, sid), _cpython_stream(12, sid)
+            n = self._size(sid)
+            population = range(n) if sid % 2 else tuple(range(100, 100 + n))
+            for k in sorted({0, min(1, n), min(3, n), n // 7, n // 2, n}):
+                branches["set" if n > _setsize(k) else "pool"] += 1
+                assert ours.sample(population, k) == ref.sample(
+                    population, k), (sid, n, k)
+            assert ours.random() == ref.random(), sid
+        assert branches["set"] >= 100 and branches["pool"] >= 100, branches
+
+    def test_sample_rejects_bad_k(self):
+        rng = RngStream(0)
+        with pytest.raises(ValueError):
+            rng.sample(range(3), 4)
+        with pytest.raises(ValueError):
+            rng.sample(range(3), -1)
 
 
 class TestBernoulliFlag:
