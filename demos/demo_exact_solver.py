@@ -79,7 +79,7 @@ from warlab.core import WinningRule  # noqa: E402
 
 space = enumerate_pwar(
     build_deck((4, 1)),
-    WinningRule(name="oscillator", eval=oscillator, uses_hand=True),
+    WinningRule(name="oscillator", eval=oscillator, reads="size"),
 )
 try:
     absorption_solve(space)

@@ -286,7 +286,9 @@ def cmd_exact(args) -> int:
         raise ValueError("exact supports --game pwar or fwar")
     print(f"{len(rows)} states solved")
     if args.out:
-        solve = {"method": result.method, "residual": result.residual}
+        solve = {"method": result.method, "residual": result.residual,
+                 "states": space.n_states,
+                 "transitions": len(space.trans_rows)}
         meta = run_metadata(config=inputs, game=args.game, summary=summary,
                             solve=solve)
         if args.format == "json":
@@ -328,6 +330,7 @@ def _verify_rules() -> list[dict]:
             ok = (
                 report.is_valid_rule
                 and report.is_symmetric == expected_symmetric
+                and report.reads_witness is None
             )
             cases.append(
                 {

@@ -208,7 +208,11 @@ class TrialRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+#: What a rule's ``eval`` may depend on, from least to most.
+RULE_READS = ("cards", "size", "hand")
+
+
+@dataclass(frozen=True, init=False)
 class WinningRule:
     """Round-outcome law for random-draw war.
 
@@ -218,13 +222,38 @@ class WinningRule:
     for every legal triple; it is symmetric when additionally
     ``eval(a, b, S) + eval(b, a, S) = 1``.
 
-    ``uses_hand`` is False when the probability depends only on the two
-    played cards; engines then skip building ``s`` and pass an empty set.
+    ``reads`` declares what ``eval`` depends on besides the deck:
+
+    - ``"cards"``: the two played cards only; engines pass an empty ``s``
+      and exact enumeration evaluates each card pair once;
+    - ``"size"``: the two cards and ``len(s)``; exact enumeration
+      evaluates each card pair once per hand size, on one legal ``s``;
+    - ``"hand"`` (the default): the set ``s`` itself.
+
+    :func:`warlab.rules.validate_rule` checks the declaration. The older
+    boolean ``uses_hand`` is still accepted by the constructor (True means
+    ``"hand"``, False ``"cards"``) and read as ``reads != "cards"``.
     """
 
     name: str
     eval: Callable[[Card, Card, frozenset, Deck], float]
-    uses_hand: bool = True
+    reads: str = "hand"
+
+    def __init__(self, name: str, eval: Callable, reads: str = "hand", *,
+                 uses_hand: Optional[bool] = None):
+        if uses_hand is not None:
+            reads = "hand" if uses_hand else "cards"
+        if reads not in RULE_READS:
+            raise ValueError(
+                f"reads must be one of {RULE_READS}, got {reads!r}"
+            )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "eval", eval)
+        object.__setattr__(self, "reads", reads)
+
+    @property
+    def uses_hand(self) -> bool:
+        return self.reads != "cards"
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,25 @@ State indexing is canonical so results reproduce across runs and platforms:
 random-draw states are the bitmask of the first player's card ids (the mask
 is the index); top-card states are the lexicographically sorted list of
 ordered hand pairs.
+
+Random-draw transitions are built with numpy, one hand size at a time,
+from a table of ``rule.eval`` over card pairs (once for rules that read
+only the cards, once per hand size for rules that read only its size, per
+state for rules that read the hand). ``scipy.sparse`` is imported on first
+use, so ``import warlab`` does not load it; its names used here
+(``gmres``, ``splu``, ...) are module attributes once loaded.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import gmres, splu
 
 from .core import Deck, StrengthFunction, WinningRule
 
@@ -41,7 +47,31 @@ RESIDUAL_TOL = 1e-9
 GMRES_RTOL = 1e-14
 GMRES_MAXITER = 50
 
-_EMPTY: frozenset = frozenset()
+#: scipy names imported on first use, by the module that holds them.
+_SCIPY = {
+    "csr_matrix": "scipy.sparse",
+    "identity": "scipy.sparse",
+    "breadth_first_order": "scipy.sparse.csgraph",
+    "gmres": "scipy.sparse.linalg",
+    "splu": "scipy.sparse.linalg",
+}
+
+
+def __getattr__(name: str):
+    """Import a name of ``_SCIPY`` on first access and keep it as a module
+    attribute, where tests can replace it."""
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SCIPY[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _scipy(name: str):
+    """The module attribute ``name`` (a replacement set on the module
+    wins), importing it on first use."""
+    value = globals().get(name)
+    return __getattr__(name) if value is None else value
 
 
 class AbsorptionError(ValueError):
@@ -130,38 +160,95 @@ def _check_row_sums(space: StateSpace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pwar_successors(mask: int, deck: Deck, rule: WinningRule) -> dict:
-    """Next-state probabilities from the non-absorbing random-draw state
-    ``mask``: each of the |A||B| card pairs is drawn with probability
-    1/(|A||B|), then resolved by the rule. Keys are next masks, in the
-    order the pairs first reach them."""
+def _sizes(d: int) -> np.ndarray:
+    """Hand size (popcount) of every mask of a ``d``-card deck."""
+    sizes = np.zeros(1 << d, dtype=np.int64)
+    for i in range(d):
+        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    return sizes
+
+
+def _pair_table(deck: Deck, rule: WinningRule, k: int) -> np.ndarray:
+    """``rule.eval(a, b, s)`` for every ordered pair of distinct card ids
+    as a d x d array, for a rule that reads at most the hand size: ``s``
+    is empty for a ``"cards"`` rule and, for a ``"size"`` rule, the
+    lowest k-1 ids of the deck other than a and b (a legal rest of a
+    size-k hand)."""
     d = deck.size
     cards = deck.cards
-    ev = rule.eval
-    a_ids = [i for i in range(d) if mask >> i & 1]
-    b_ids = [i for i in range(d) if not mask >> i & 1]
-    base = 1.0 / (len(a_ids) * len(b_ids))
-    out: dict[int, float] = {}
-    for a_id in a_ids:
-        if rule.uses_hand:
-            s = frozenset(x for x in a_ids if x != a_id)
-        else:
-            s = _EMPTY
-        a = cards[a_id]
-        lose_mask = mask & ~(1 << a_id)
-        for b_id in b_ids:
-            p = ev(a, cards[b_id], s, deck)
-            win_mask = mask | (1 << b_id)
-            out[win_mask] = out.get(win_mask, 0.0) + base * p
-            out[lose_mask] = out.get(lose_mask, 0.0) + base * (1.0 - p)
-    return out
+    table = np.zeros((d, d))
+    for a_id in range(d):
+        for b_id in range(d):
+            if a_id == b_id:
+                continue
+            if rule.reads == "cards":
+                s = frozenset()
+            else:
+                rest = [i for i in range(d) if i != a_id and i != b_id]
+                s = frozenset(rest[:k - 1])
+            table[a_id, b_id] = rule.eval(cards[a_id], cards[b_id], s, deck)
+    return table
+
+
+def _pwar_rows(deck: Deck, rule: WinningRule, k: int, masks: np.ndarray,
+               table: Optional[np.ndarray] = None) -> tuple:
+    """Transitions out of the size-k random-draw states ``masks``.
+
+    Each of the k(d-k) card pairs is drawn with probability 1/(k(d-k)),
+    then resolved by the rule with probability p[a, b]. A ``"hand"`` rule
+    makes one ``eval`` per state and pair with the rest of the hand as
+    ``s``; the others take p from :func:`_pair_table` (``table``, when
+    given, is a ``"cards"`` rule's table reused across sizes). Returns
+    the next masks and their probabilities as two (len(masks), d) arrays,
+    one row per state with its d distinct successors in the order the
+    pairs first reach them: win(b0), lose(a0), win(b1..), lose(a1..) over
+    ascending ids. The win mass of each b is summed over a ascending and
+    the lose mass of each a over b ascending, one card column at a time.
+    """
+    d = deck.size
+    n = len(masks)
+    held = (masks[:, None] >> np.arange(d)) & 1 == 1
+    a = np.nonzero(held)[1].reshape(n, k)
+    b = np.nonzero(~held)[1].reshape(n, d - k)
+    if rule.reads == "hand":
+        cards = deck.cards
+        ev = rule.eval
+        p = np.empty((n, k, d - k))
+        for m, (a_row, b_row) in enumerate(zip(a.tolist(), b.tolist())):
+            for i, a_id in enumerate(a_row):
+                s = frozenset(a_row[:i] + a_row[i + 1:])
+                for j, b_id in enumerate(b_row):
+                    p[m, i, j] = ev(cards[a_id], cards[b_id], s, deck)
+    else:
+        if table is None:
+            table = _pair_table(deck, rule, k)
+        p = table[a[:, :, None], b[:, None, :]]
+    base = 1.0 / (k * (d - k))
+    win = np.zeros((n, d - k))
+    for i in range(k):
+        win += base * p[:, i, :]
+    lose = np.zeros((n, k))
+    for j in range(d - k):
+        lose += base * (1.0 - p[:, :, j])
+    win_next = masks[:, None] | (1 << b)
+    lose_next = masks[:, None] ^ (1 << a)
+    cols = np.concatenate((win_next[:, :1], lose_next[:, :1],
+                           win_next[:, 1:], lose_next[:, 1:]), axis=1)
+    probs = np.concatenate((win[:, :1], lose[:, :1], win[:, 1:],
+                            lose[:, 1:]), axis=1)
+    return cols, probs
 
 
 def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
     """Enumerate the 2^size random-draw states and their transitions.
 
     From a non-absorbing state each of the |A||B| card pairs is drawn with
-    probability 1/(|A||B|), then resolved by the rule.
+    probability 1/(|A||B|), then resolved by the rule. Each of the
+    2^size - 2 non-absorbing masks, in ascending order, has one triplet
+    per successor, d per row, ordered as :func:`_pwar_rows` emits them.
+    The rows of each hand size are built at once with numpy, from
+    ``rule.eval`` on each card pair once (``"cards"`` rules), once per
+    hand size (``"size"``) or once per state (``"hand"``).
     """
     d = deck.size
     if d > MAX_PWAR_CARDS:
@@ -175,20 +262,20 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
     absorbing[0] = absorbing[full] = True
     win = np.zeros(n_states)
     win[full] = 1.0
-    rows: list[int] = []
-    cols: list[int] = []
-    probs: list[float] = []
-    for mask in range(1, full):
-        for nxt, pr in _pwar_successors(mask, deck, rule).items():
-            rows.append(mask)
-            cols.append(nxt)
-            probs.append(pr)
+    sizes = _sizes(d)
+    cols = np.zeros((n_states, d), dtype=np.int64)
+    probs = np.zeros((n_states, d))
+    cards_table = _pair_table(deck, rule, 1) if rule.reads == "cards" else None
+    for k in range(1, d):
+        masks = np.flatnonzero(sizes == k)
+        cols[masks], probs[masks] = _pwar_rows(deck, rule, k, masks,
+                                               cards_table)
     space = StateSpace(
         flavor="pwar_subsets",
         states=list(range(n_states)),
-        trans_rows=np.asarray(rows, dtype=np.int64),
-        trans_cols=np.asarray(cols, dtype=np.int64),
-        trans_probs=np.asarray(probs, dtype=np.float64),
+        trans_rows=np.repeat(np.arange(1, full, dtype=np.int64), d),
+        trans_cols=cols[1:full].ravel(),
+        trans_probs=probs[1:full].ravel(),
         absorbing=absorbing,
         absorbing_win=win,
         n_cards=d,
@@ -268,23 +355,25 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
 
 
 def _unreachable_states(space: StateSpace) -> list[int]:
-    """States that cannot reach absorption with positive probability."""
+    """States that cannot reach absorption with positive probability.
+
+    A breadth-first search over the reversed p > 0 transition graph, from
+    a virtual source (index ``n_states``) joined to every absorbing state;
+    the states it does not reach are returned in ascending order.
+    """
     n = space.n_states
-    incoming: list[list[int]] = [[] for _ in range(n)]
-    for r, c, p in zip(
-        space.trans_rows, space.trans_cols, space.trans_probs
-    ):
-        if p > 0.0:
-            incoming[c].append(r)
-    seen = space.absorbing.copy()
-    stack = list(np.flatnonzero(space.absorbing))
-    while stack:
-        j = stack.pop()
-        for i in incoming[j]:
-            if not seen[i]:
-                seen[i] = True
-                stack.append(i)
-    return [int(i) for i in np.flatnonzero(~seen)]
+    keep = space.trans_probs > 0.0
+    absorbing = np.flatnonzero(space.absorbing)
+    tails = np.concatenate((space.trans_cols[keep],
+                            np.full(absorbing.size, n)))
+    heads = np.concatenate((space.trans_rows[keep], absorbing))
+    graph = _scipy("csr_matrix")(
+        (np.ones(tails.size), (tails, heads)), shape=(n + 1, n + 1)
+    )
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[_scipy("breadth_first_order")(
+        graph, n, directed=True, return_predecessors=False)] = True
+    return [int(i) for i in np.flatnonzero(~reached[:n])]
 
 
 def _max_residual(a_mat, x: np.ndarray, b: np.ndarray) -> float:
@@ -300,6 +389,7 @@ def _solve_systems(a_mat, rhs: list) -> tuple[list, str, float]:
     factorization of the same matrix solves them all. Returns the
     solutions, the method kept and the largest residual.
     """
+    gmres, splu = _scipy("gmres"), _scipy("splu")
     method = "gmres"
     xs = []
     for b in rhs:
@@ -358,7 +448,7 @@ def absorption_solve(space: StateSpace) -> SolveResult:
         cols_full = space.trans_cols[keep]
         probs = space.trans_probs[keep]
         to_transient = ~space.absorbing[cols_full]
-        q = csr_matrix(
+        q = _scipy("csr_matrix")(
             (
                 probs[to_transient],
                 (rows[to_transient], t_index[cols_full[to_transient]]),
@@ -372,7 +462,7 @@ def absorption_solve(space: StateSpace) -> SolveResult:
             rows[to_abs],
             probs[to_abs] * space.absorbing_win[cols_full[to_abs]],
         )
-        a_mat = identity(n_t, format="csr") - q
+        a_mat = _scipy("identity")(n_t, format="csr") - q
         (x_win, x_tau), method, residual = _solve_systems(
             a_mat, [b_win, np.ones(n_t)]
         )
@@ -440,25 +530,24 @@ def verify_uniform_preservation(
     k+1. Returns the largest absolute per-state deviation; symmetric
     rules sit at rounding level, non-symmetric rules visibly break it.
     Only the size-k states are stepped, with the transitions
-    ``enumerate_pwar`` builds for them.
+    ``enumerate_pwar`` builds for them (the same numpy builder).
     """
     d = deck.size
     if d > 12:
         raise ValueError("uniformity check is limited to 12-card decks")
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be a non-absorbing size in [1, {d - 1}]")
-    masks = range(1 << d)
-    start = [m for m in masks if bin(m).count("1") == k]
+    sizes = _sizes(d)
+    start = np.flatnonzero(sizes == k)
+    cols, probs = _pwar_rows(deck, rule, k, start)
+    # bincount adds in index order: start masks ascending, each row's
+    # successors in emission order.
     w = 1.0 / len(start)
-    pi1 = np.zeros(1 << d)
-    for mask in start:
-        for nxt, pr in _pwar_successors(mask, deck, rule).items():
-            pi1[nxt] += pr * w
+    pi1 = np.bincount(cols.ravel(), weights=(probs * w).ravel(),
+                      minlength=1 << d)
     target = np.zeros(1 << d)
-    lo = [m for m in masks if bin(m).count("1") == k - 1]
-    hi = [m for m in masks if bin(m).count("1") == k + 1]
-    target[lo] = 0.5 / len(lo)
-    target[hi] = 0.5 / len(hi)
+    target[sizes == k - 1] = 0.5 / comb(d, k - 1)
+    target[sizes == k + 1] = 0.5 / comb(d, k + 1)
     return float(np.max(np.abs(pi1 - target)))
 
 

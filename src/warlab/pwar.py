@@ -50,7 +50,7 @@ def _play(state, rule, deck, rng, max_rounds, record_trace):
     size = deck.size
     cards = deck.cards
     ev = rule.eval
-    uses_hand = rule.uses_hand
+    reads_hand = rule.reads != "cards"
     rand = rng.random
     traj = [len(ha)] if record_trace else None
     rounds = 0
@@ -59,7 +59,7 @@ def _play(state, rule, deck, rng, max_rounds, record_trace):
         ib = int(rand() * len(hb))
         a_id = ha[ia]
         b_id = hb[ib]
-        if uses_hand:
+        if reads_hand:
             s = frozenset(x for x in ha if x != a_id)
         else:
             s = _EMPTY

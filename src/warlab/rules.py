@@ -20,8 +20,6 @@ VIOLATION_TOL = 1e-12
 #: Exhaustive (a, b, S) enumeration is exponential in deck size.
 MAX_VALIDATE_CARDS = 14
 
-_EMPTY: frozenset = frozenset()
-
 
 # ---------------------------------------------------------------------------
 # Built-in winning rules
@@ -35,7 +33,7 @@ def rule_coin() -> WinningRule:
     def ev(a: Card, b: Card, s: frozenset, deck: Deck) -> float:
         return 0.5
 
-    return WinningRule(name="coin", eval=ev, uses_hand=False)
+    return WinningRule(name="coin", eval=ev, reads="cards")
 
 
 def rule_greater() -> WinningRule:
@@ -50,7 +48,7 @@ def rule_greater() -> WinningRule:
             )
         return 1.0 if a.rank > b.rank else 0.0
 
-    return WinningRule(name="greater", eval=ev, uses_hand=False)
+    return WinningRule(name="greater", eval=ev, reads="cards")
 
 
 def rule_greater_tiecoin() -> WinningRule:
@@ -63,7 +61,7 @@ def rule_greater_tiecoin() -> WinningRule:
             return 0.0
         return 0.5
 
-    return WinningRule(name="greater-tiecoin", eval=ev, uses_hand=False)
+    return WinningRule(name="greater-tiecoin", eval=ev, reads="cards")
 
 
 def rule_powered() -> WinningRule:
@@ -87,7 +85,7 @@ def rule_powered() -> WinningRule:
         num = lo**k
         return 1.0 - num / (num + hi**k)
 
-    return WinningRule(name="powered", eval=ev, uses_hand=True)
+    return WinningRule(name="powered", eval=ev, reads="size")
 
 
 def rule_bradley_terry(strength: StrengthFunction) -> WinningRule:
@@ -106,7 +104,7 @@ def rule_bradley_terry(strength: StrengthFunction) -> WinningRule:
         return 1.0 - fb / (fb + fa)
 
     return WinningRule(
-        name=f"bradley-terry({strength.describe()})", eval=ev, uses_hand=False
+        name=f"bradley-terry({strength.describe()})", eval=ev, reads="cards"
     )
 
 
@@ -129,7 +127,7 @@ def rule_max_holder() -> WinningRule:
         )
         return 1.0 if own > rest else 0.0
 
-    return WinningRule(name="max-holder", eval=ev, uses_hand=True)
+    return WinningRule(name="max-holder", eval=ev, reads="hand")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +241,10 @@ class RuleReport:
     ``max_violation`` is the worst |p_{a,b}(S) + p_{b,a}(D\\(S|{a,b})) - 1|;
     ``max_symmetry_violation`` the worst |p_{a,b}(S) + p_{b,a}(S) - 1|.
     ``witness`` is the (a_id, b_id, S) triple attaining the larger of the
-    two.
+    two. ``reads_witness`` is the first (a_id, b_id, S) at which ``eval``
+    differs from its value at an S the rule's ``reads`` declaration cannot
+    tell apart (any S for ``"cards"``, any S of the same size for
+    ``"size"``), or None when the declaration holds.
     """
 
     is_valid_rule: bool
@@ -251,6 +252,7 @@ class RuleReport:
     max_violation: float
     max_symmetry_violation: float
     witness: Optional[tuple]
+    reads_witness: Optional[tuple] = None
 
 
 def _subsets(ids: Iterable[int]):
@@ -265,7 +267,9 @@ def validate_rule(rule: WinningRule, deck: Deck) -> RuleReport:
 
     Rejects decks larger than ``MAX_VALIDATE_CARDS`` (enumeration is
     exponential). Probabilities outside [0, 1] count as violations of the
-    defining identity.
+    defining identity. The ``reads`` declaration is checked exactly, since
+    exact enumeration substitutes one evaluation for the others it
+    declares equal.
     """
     if deck.size > MAX_VALIDATE_CARDS:
         raise ValueError(
@@ -277,6 +281,8 @@ def validate_rule(rule: WinningRule, deck: Deck) -> RuleReport:
     worst = 0.0
     worst_sym = 0.0
     witness: Optional[tuple] = None
+    first: dict = {}
+    reads_witness: Optional[tuple] = None
     for a_id, b_id in itertools.permutations(range(deck.size), 2):
         a, b = cards[a_id], cards[b_id]
         rest = all_ids - {a_id, b_id}
@@ -284,6 +290,10 @@ def validate_rule(rule: WinningRule, deck: Deck) -> RuleReport:
             s = frozenset(s_tuple)
             comp = frozenset(rest - s)
             p = rule.eval(a, b, s, deck)
+            if rule.reads != "hand" and reads_witness is None:
+                key = (a_id, b_id, len(s) if rule.reads == "size" else 0)
+                if first.setdefault(key, p) != p:
+                    reads_witness = (a_id, b_id, s_tuple)
             viol = abs(p + rule.eval(b, a, comp, deck) - 1.0)
             if not 0.0 <= p <= 1.0:
                 viol = max(viol, abs(p))
@@ -298,4 +308,5 @@ def validate_rule(rule: WinningRule, deck: Deck) -> RuleReport:
         max_violation=worst,
         max_symmetry_violation=worst_sym,
         witness=witness,
+        reads_witness=reads_witness,
     )

@@ -90,6 +90,25 @@ class TestExact:
         assert len(rows) == 1 + 2**8
         assert meta["solve"]["method"] == "gmres"
         assert 0.0 < meta["solve"]["residual"] <= 1e-9
+        # 254 non-absorbing states, each with 8 successors.
+        assert meta["solve"]["states"] == 2**8
+        assert meta["solve"]["transitions"] == 254 * 8
+
+    @pytest.mark.parametrize("argv,states,transitions", [
+        (["--game", "pwar", "--deck", "6x1", "--rule", "powered"],
+         64, 62 * 6),
+        (["--game", "fwar", "--n", "3"], 24, 4 * 12),
+    ], ids=["pwar", "fwar"])
+    def test_solve_counts_in_csv_and_json(self, tmp_path, argv, states,
+                                          transitions):
+        csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main(["exact", *argv, "--out", str(csv_out)]) == 0
+        assert main(["exact", *argv, "--format", "json",
+                     "--out", str(json_out)]) == 0
+        meta, _ = read_csv_with_metadata(str(csv_out))
+        assert meta == json.loads(json_out.read_text())["metadata"]
+        assert meta["solve"]["states"] == states
+        assert meta["solve"]["transitions"] == transitions
 
     def test_fwar_strongest_comparison(self):
         rc = main([
@@ -255,23 +274,33 @@ class TestConfigFile:
         ]) == 2
 
 
+def _child(*args):
+    """Runs a fresh interpreter from a checkout: the child finds the
+    package under test through PYTHONPATH, as pytest's own ``pythonpath``
+    is not inherited."""
+    src = str(Path(warlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
 class TestEntryPoints:
     def test_module_help(self):
-        """Runs from a checkout: the child finds the package under test
-        through PYTHONPATH, as pytest's own ``pythonpath`` is not
-        inherited."""
-        src = str(Path(warlab.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "warlab", "--help"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = _child("-m", "warlab", "--help")
         assert proc.returncode == 0
         for sub in ("simulate", "exact", "verify", "reproduce"):
             assert sub in proc.stdout
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        """Only a solve loads scipy.sparse; ``import warlab`` does not."""
+        proc = _child("-c", (
+            "import sys, warlab; print('scipy.sparse' in sys.modules); "
+            "warlab.exact.gmres; print('scipy.sparse' in sys.modules)"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_workers_env_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WARLAB_WORKERS", "2")

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from warlab import exact
 from warlab.core import WinningRule, build_deck
@@ -81,6 +83,151 @@ class TestEnumeratePwar:
     def test_rejects_large_deck(self):
         with pytest.raises(ValueError):
             enumerate_pwar(build_deck((15, 1)), rule_coin())
+
+
+def _reference_successors(mask, deck, rule):
+    """Reference for the vectorised builder: the per-state loop.
+
+    Next-state probabilities from the non-absorbing random-draw state
+    ``mask``: each of the |A||B| card pairs is drawn with probability
+    1/(|A||B|), then resolved by the rule with the rest of the hand as
+    ``s`` (empty for a rule that reads only the cards). Keys are next
+    masks, in the order the pairs first reach them."""
+    d = deck.size
+    cards = deck.cards
+    a_ids = [i for i in range(d) if mask >> i & 1]
+    b_ids = [i for i in range(d) if not mask >> i & 1]
+    base = 1.0 / (len(a_ids) * len(b_ids))
+    out = {}
+    for a_id in a_ids:
+        if rule.reads == "cards":
+            s = frozenset()
+        else:
+            s = frozenset(x for x in a_ids if x != a_id)
+        lose_mask = mask & ~(1 << a_id)
+        for b_id in b_ids:
+            p = rule.eval(cards[a_id], cards[b_id], s, deck)
+            win_mask = mask | (1 << b_id)
+            out[win_mask] = out.get(win_mask, 0.0) + base * p
+            out[lose_mask] = out.get(lose_mask, 0.0) + base * (1.0 - p)
+    return out
+
+
+def _reference_triplets(deck, rule):
+    rows, cols, probs = [], [], []
+    for mask in range(1, (1 << deck.size) - 1):
+        for nxt, pr in _reference_successors(mask, deck, rule).items():
+            rows.append(mask)
+            cols.append(nxt)
+            probs.append(pr)
+    return (np.asarray(rows, dtype=np.int64),
+            np.asarray(cols, dtype=np.int64),
+            np.asarray(probs, dtype=np.float64))
+
+
+def _reference_uniformity(rule, deck, k):
+    masks = range(1 << deck.size)
+    start = [m for m in masks if bin(m).count("1") == k]
+    w = 1.0 / len(start)
+    pi1 = np.zeros(1 << deck.size)
+    for mask in start:
+        for nxt, pr in _reference_successors(mask, deck, rule).items():
+            pi1[nxt] += pr * w
+    target = np.zeros(1 << deck.size)
+    lo = [m for m in masks if bin(m).count("1") == k - 1]
+    hi = [m for m in masks if bin(m).count("1") == k + 1]
+    target[lo] = 0.5 / len(lo)
+    target[hi] = 0.5 / len(hi)
+    return float(np.max(np.abs(pi1 - target)))
+
+
+def _assert_matches_reference(deck, rule):
+    """Triplets equal array for array and uniformity deviations equal at
+    every k, against the per-state loop."""
+    space = enumerate_pwar(deck, rule)
+    rows, cols, probs = _reference_triplets(deck, rule)
+    assert np.array_equal(space.trans_rows, rows)
+    assert np.array_equal(space.trans_cols, cols)
+    assert np.array_equal(space.trans_probs, probs)
+    for k in range(1, deck.size):
+        assert verify_uniform_preservation(rule, deck, k) \
+            == _reference_uniformity(rule, deck, k), k
+
+
+def _reference_unreachable(space):
+    """Reference for the graph pre-check: a depth-first walk back from
+    the absorbing states along transitions of positive probability."""
+    incoming = [[] for _ in range(space.n_states)]
+    for r, c, p in space.transitions:
+        if p > 0.0:
+            incoming[c].append(r)
+    seen = space.absorbing.copy()
+    stack = list(np.flatnonzero(space.absorbing))
+    while stack:
+        for i in incoming[stack.pop()]:
+            if not seen[i]:
+                seen[i] = True
+                stack.append(i)
+    return [int(i) for i in np.flatnonzero(~seen)]
+
+
+def _oscillator(reads):
+    """Valid, never absorbing: the smaller hand always takes the pair."""
+
+    def ev(a, b, s, deck):
+        half = deck.size // 2
+        if len(s) < half - 1:
+            return 1.0
+        if len(s) > half - 1:
+            return 0.0
+        return 0.5
+
+    return WinningRule(name="oscillator", eval=ev, reads=reads)
+
+
+_REFERENCE_DECKS = ((1, 1), (2, 1), (6, 1), (3, 2), (4, 3), (10, 1), (12, 1))
+_REFERENCE_CASES = [
+    (rule, deck)
+    for rule in ("coin", "greater", "greater-tiecoin", "powered",
+                 "bradley-terry")
+    for deck in _REFERENCE_DECKS
+    if not (rule == "greater" and deck[1] > 1)
+] + [("max-holder", (n, 1)) for n in (1, 2, 6, 8)]
+
+
+class TestReferenceBuilder:
+    """The vectorised random-draw builder against the per-state loop."""
+
+    @pytest.mark.parametrize(
+        "rule,deck", _REFERENCE_CASES,
+        ids=[f"{r}-{d[0]}x{d[1]}" for r, d in _REFERENCE_CASES],
+    )
+    def test_builtins_bit_identical(self, rule, deck):
+        _assert_matches_reference(build_deck(deck), rule_by_name(rule))
+
+    @pytest.mark.parametrize("reads", ["size", "hand"])
+    def test_oscillator_bit_identical(self, reads):
+        _assert_matches_reference(build_deck((6, 1)), _oscillator(reads))
+
+    @given(
+        ranks=st.lists(st.integers(1, 6), min_size=2, max_size=10),
+        name=st.sampled_from(["coin", "greater", "greater-tiecoin",
+                              "powered", "bradley-terry", "max-holder"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rank_lists_bit_identical(self, ranks, name):
+        deck = build_deck(ranks)
+        assume(name not in ("greater", "max-holder")
+               or not deck.has_repeated_ranks)
+        _assert_matches_reference(deck, rule_by_name(name))
+
+    @pytest.mark.parametrize("name", ["greater", "max-holder"])
+    def test_tied_ranks_still_raise(self, name):
+        deck = build_deck((3, 2))
+        with pytest.raises(ValueError):
+            enumerate_pwar(deck, rule_by_name(name))
+        with pytest.raises(ValueError):
+            verify_uniform_preservation(rule_by_name(name), deck, 3)
 
 
 class TestEnumerateFwar:
@@ -159,20 +306,23 @@ class TestAbsorptionSolve:
     def test_recurrent_class_reported(self):
         """A valid but oscillating rule never absorbs: the solver refuses
         with a witness instead of returning garbage."""
-
-        def ev(a, b, s, deck):
-            half = deck.size // 2
-            if len(s) < half - 1:
-                return 1.0
-            if len(s) > half - 1:
-                return 0.0
-            return 0.5
-
-        oscillator = WinningRule(name="oscillator", eval=ev, uses_hand=True)
-        space = enumerate_pwar(build_deck((4, 1)), oscillator)
+        space = enumerate_pwar(build_deck((4, 1)), _oscillator("size"))
         with pytest.raises(AbsorptionError) as err:
             absorption_solve(space)
         assert len(err.value.witness) > 0
+        assert err.value.witness == _reference_unreachable(space)
+
+    @pytest.mark.parametrize("space", [
+        lambda: enumerate_pwar(build_deck((6, 1)), _oscillator("size")),
+        lambda: enumerate_pwar(build_deck((5, 1)), _oscillator("hand")),
+        lambda: enumerate_pwar(build_deck((8, 1)), rule_by_name("greater")),
+        lambda: enumerate_pwar(build_deck((3, 2)), rule_powered()),
+        lambda: enumerate_fwar(4, strength_builtin("identity")),
+    ], ids=["osc-6x1", "osc-5x1", "greater-8x1", "powered-3x2", "fwar-4"])
+    def test_precheck_matches_reference(self, space):
+        space = space()
+        assert exact._unreachable_states(space) \
+            == _reference_unreachable(space)
 
     def test_solve_rows_export(self):
         deck = build_deck((2, 1))

@@ -225,7 +225,7 @@ class TestValidateRule:
         from warlab.core import WinningRule
 
         broken = WinningRule(
-            name="always-a", eval=lambda a, b, s, d: 1.0, uses_hand=False
+            name="always-a", eval=lambda a, b, s, d: 1.0, reads="cards"
         )
         report = validate_rule(broken, build_deck((4, 1)))
         assert not report.is_valid_rule
@@ -250,6 +250,72 @@ class TestValidateRule:
         assert report.is_valid_rule
         assert report.is_symmetric
         assert report.max_violation <= VIOLATION_TOL
+
+    @pytest.mark.parametrize("spec", [(6, 1), (3, 2)])
+    def test_builtins_read_what_they_declare(self, spec):
+        deck = build_deck(spec)
+        for name in ("coin", "greater", "greater-tiecoin", "powered",
+                     "bradley-terry", "max-holder"):
+            if name in ("greater", "max-holder") and deck.has_repeated_ranks:
+                continue
+            report = validate_rule(rule_by_name(name), deck)
+            assert report.reads_witness is None, name
+
+    def test_cards_rule_reading_hand_size_caught(self):
+        """An oscillator reads len(s); declared as reading only the cards
+        it is reported with the first S where eval differs from S = {}."""
+        from warlab.core import WinningRule
+
+        def oscillator(a, b, s, deck):
+            half = deck.size // 2
+            if len(s) < half - 1:
+                return 1.0
+            if len(s) > half - 1:
+                return 0.0
+            return 0.5
+
+        deck = build_deck((6, 1))
+        report = validate_rule(
+            WinningRule(name="oscillator", eval=oscillator, reads="cards"),
+            deck)
+        assert report.is_valid_rule
+        assert report.reads_witness == (0, 1, (2, 3))
+        a_id, b_id, s = report.reads_witness
+        a, b = deck.cards[a_id], deck.cards[b_id]
+        assert oscillator(a, b, frozenset(s), deck) \
+            != oscillator(a, b, frozenset(), deck)
+        sized = validate_rule(
+            WinningRule(name="oscillator", eval=oscillator, reads="size"),
+            deck)
+        assert sized.reads_witness is None
+
+    def test_size_rule_reading_hand_caught(self):
+        """max-holder declared as reading only the hand size is caught:
+        two hands of one size differ in whether they hold the maximum."""
+        from warlab.core import WinningRule
+
+        rule = WinningRule(name="max-holder-as-size",
+                           eval=rule_max_holder().eval, reads="size")
+        report = validate_rule(rule, build_deck((4, 1)))
+        assert report.reads_witness is not None
+        a_id, b_id, s = report.reads_witness
+        assert len(s) >= 1 and a_id not in s and b_id not in s
+
+    def test_reads_must_be_known(self):
+        from warlab.core import WinningRule
+
+        with pytest.raises(ValueError, match="reads"):
+            WinningRule(name="x", eval=lambda a, b, s, d: 0.5, reads="ranks")
+
+    def test_uses_hand_spelling(self):
+        """The boolean spelling still constructs and reads."""
+        from warlab.core import WinningRule
+
+        ev = rule_coin().eval
+        assert WinningRule(name="c", eval=ev, uses_hand=False).reads \
+            == "cards"
+        assert WinningRule(name="h", eval=ev, uses_hand=True).reads == "hand"
+        assert rule_powered().uses_hand and not rule_coin().uses_hand
 
     def test_max_holder_valid_on_distinct_decks(self):
         for size in (2, 4, 6, 8):
