@@ -12,35 +12,31 @@ with `warlab reproduce rounds` / `warlab reproduce aces`.
 """
 
 from warlab import (
-    ClassicConfig,
-    PwarConfig,
     TiePolicy,
     aces_win_table,
     build_deck,
     run_trials,
     summarize_records,
 )
+from warlab.reproduce import REFERENCE_MIN_HAND, REFERENCE_ROUNDS, ROUND_MODELS
 
 TRIALS = 8000
 
 print("=== 1. Round counts for four models (52 cards) ===")
-models = [
-    ("top card, war-round ties",
-     ClassicConfig(deck=(13, 4), tie="war_round", min_hand=2), 397),
-    ("top card, coin-flip ties",
-     ClassicConfig(deck=(13, 4), tie="coin_flip", min_hand=2), 628),
-    ("random draw, coin-flip ties",
-     PwarConfig(deck=(13, 4), rule="greater-tiecoin"), 625),
-    ("top card, 52 distinct ranks",
-     ClassicConfig(deck=(52, 1), tie="war_round", min_hand=2), 624),
-]
-for label, config, reference in models:
+labels = {
+    "war_ties": "top card, war-round ties",
+    "coin_ties": "top card, coin-flip ties",
+    "random_draw": "random draw, coin-flip ties",
+    "distinct": "top card, 52 distinct ranks",
+}
+for name, config in ROUND_MODELS.items():
     stats = summarize_records(
         run_trials(config, TRIALS, seed=11, workers=2)
     )
     print(
-        f"  {label:30s} mean={stats.mean:6.1f}  median={stats.median:6.1f}"
-        f"  max={stats.max:6.0f}  (reference mean {reference})"
+        f"  {labels[name]:30s} mean={stats.mean:6.1f}  "
+        f"median={stats.median:6.1f}  max={stats.max:6.0f}  "
+        f"(reference mean {REFERENCE_ROUNDS[name]['mean']:.0f})"
     )
 print("  war rounds move many cards per counted round, so model 1 ends")
 print("  ~1.6x sooner. The random-draw model's exact mean is 676; the")
@@ -53,7 +49,7 @@ for policy, label in (("war_round", "war-round ties"),
                       ("coin_flip", "coin-flip ties")):
     rows = aces_win_table(
         deck, TiePolicy(kind=policy), trials_per_cell=4000, seed=23,
-        min_hand=2, workers=2,
+        min_hand=REFERENCE_MIN_HAND, workers=2,
     )
     cells = "  ".join(f"{row['k']}:{row['p_win']:.3f}" for row in rows)
     print(f"  {label:16s} {cells}")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    DEFAULT_MAX_ROUNDS,
     DRAW,
     TRUNCATED,
     WINNER_A,
@@ -40,8 +41,6 @@ from .core import (
     built,
     deal_uniform,
 )
-
-DEFAULT_MAX_ROUNDS = 10_000_000
 
 
 @dataclass(frozen=True)

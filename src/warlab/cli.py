@@ -10,37 +10,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
 from . import __version__
-from .core import WINNER_A, WINNER_B, build_deck
-from .rules import (
-    RULE_NAMES,
-    STRENGTH_KINDS,
-    rule_by_name,
-    strength_builtin,
-    strength_from_spec,
+from .classic import ClassicConfig
+from .core import DEFAULT_MAX_ROUNDS, WINNER_A, WINNER_B, build_deck
+from .fwar import FwarConfig, strongest_deal_win_prob
+from .pwar import PwarConfig
+from .reproduce import REFERENCE_MIN_HAND, REPRODUCE_TARGETS, VERIFY_SUITES
+from .rules import RULE_NAMES, STRENGTH_KINDS, rule_by_name, strength_from_spec
+from .stats import (
+    default_workers,
+    histogram,
+    run_metadata,
+    run_trials,
+    summarize_records,
+    win_frequency,
+    write_histogram_csv,
+    write_json,
+    write_stats_csv,
+    write_table_csv,
 )
-
-#: Reference round-count table this package reproduces (52-card deck,
-#: 50,000 games per model in the published run).
-REFERENCE_ROUNDS = {
-    "war_ties": {"mean": 397.0, "median": 302.0, "max": 3752.0},
-    "coin_ties": {"mean": 628.0, "median": 474.0, "max": 5510.0},
-    "random_draw": {"mean": 625.0, "median": 472.0, "max": 5900.0},
-    "distinct": {"mean": 624.0, "median": 474.0, "max": 8026.0},
-}
-
-#: Reference win probability by count of strongest-rank cards held.
-REFERENCE_ACES = {
-    "war_round": (0.108, 0.293, 0.500, 0.706, 0.892),
-    "coin_flip": (0.000, 0.243, 0.500, 0.757, 1.000),
-}
-
-#: Round-start playability threshold matching the reference tables.
-REFERENCE_MIN_HAND = 2
 
 
 def _parse_deck(text: str) -> tuple:
@@ -64,12 +55,9 @@ def _emit(args, payload: dict, rows_key: str, header: list) -> None:
 
     JSON gets the whole payload. CSV gets one row per entry of
     ``payload[rows_key]`` under ``header``, and its leading comment line
-    holds ``payload["metadata"]`` itself: the flat run-metadata object the
-    stats and ``exact`` writers use, identical to what the JSON output
-    stores under ``"metadata"``.
+    holds ``payload["metadata"]`` itself, identical to what the JSON
+    output stores under ``"metadata"``.
     """
-    from .stats import write_json, write_table_csv
-
     if not args.out:
         return
     if args.format == "json":
@@ -88,10 +76,6 @@ def _emit(args, payload: dict, rows_key: str, header: list) -> None:
 
 
 def _build_sim_config(args):
-    from .classic import ClassicConfig
-    from .fwar import FwarConfig
-    from .pwar import PwarConfig
-
     if args.game == "pwar":
         if args.rule not in RULE_NAMES:
             raise ValueError(
@@ -118,30 +102,16 @@ def _build_sim_config(args):
             max_rounds=args.max_rounds,
             return_order=args.return_order,
         )
-    if args.game == "classic":
-        tie = {"war": "war_round", "coin": "coin_flip"}.get(args.tie)
-        if tie is None:
-            raise ValueError("--tie must be 'war' or 'coin'")
-        return ClassicConfig(
-            deck=_parse_deck(args.deck),
-            tie=tie,
-            face_down=args.face_down,
-            min_hand=args.min_hand,
-            max_rounds=args.max_rounds,
-        )
-    raise ValueError(f"unknown game {args.game!r}")
+    return ClassicConfig(
+        deck=_parse_deck(args.deck),
+        tie={"war": "war_round", "coin": "coin_flip"}[args.tie],
+        face_down=args.face_down,
+        min_hand=args.min_hand,
+        max_rounds=args.max_rounds,
+    )
 
 
 def cmd_simulate(args) -> int:
-    from .stats import (
-        histogram,
-        run_metadata,
-        run_trials,
-        summarize_records,
-        win_frequency,
-        write_histogram_csv,
-    )
-
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     config = _build_sim_config(args)
@@ -182,12 +152,8 @@ def cmd_simulate(args) -> int:
         }
     if args.out:
         if args.format == "json":
-            from .stats import write_json
-
             write_json(args.out, payload)
         else:
-            from .stats import write_stats_csv
-
             write_stats_csv(args.out, stats, metadata=meta)
             if hist is not None:
                 hist_path = args.out + ".hist.csv"
@@ -212,11 +178,9 @@ def cmd_exact(args) -> int:
         solve_rows,
         srw_oracle,
     )
-    from .fwar import strongest_deal_win_prob
-    from .stats import run_metadata, write_json, write_table_csv
 
-    failures = 0
-    rows = []
+    ok = True
+    summary = {}
     if args.game == "pwar":
         deck = build_deck(_parse_deck(args.deck))
         strength = None
@@ -228,17 +192,14 @@ def cmd_exact(args) -> int:
                   "uniform_size": args.uniform_size}
         space = enumerate_pwar(deck, rule)
         result = absorption_solve(space)
-        rows = list(solve_rows(space, result))
-        summary = {}
         if args.uniform_size is not None:
             k = args.uniform_size
             mean_tau, mean_win = average_uniform_hands(space, result, k)
             oracle_tau, oracle_win = srw_oracle(deck.size, k)
             dev = max(abs(mean_tau - oracle_tau),
                       abs(mean_win - oracle_win))
-            symmetric = args.rule != "max-holder"
-            ok = dev <= 1e-9 if symmetric else True
-            failures += not ok
+            # max-holder is not symmetric, so the walk oracle need not hold.
+            ok = dev <= 1e-9 or args.rule == "max-holder"
             summary = {
                 "uniform_size": k,
                 "mean_tau": mean_tau,
@@ -253,7 +214,7 @@ def cmd_exact(args) -> int:
                 f"P(A wins)={mean_win:.9f} (oracle {oracle_win:g}), "
                 f"max dev {dev:.2e} -> {'pass' if ok else 'FAIL'}"
             )
-    elif args.game == "fwar":
+    else:
         if args.n is None:
             raise ValueError("fwar needs --n")
         strength = strength_from_spec(args.strength or "identity",
@@ -262,14 +223,11 @@ def cmd_exact(args) -> int:
                   "deal": args.deal}
         space = enumerate_fwar(args.n, strength)
         result = absorption_solve(space)
-        rows = list(solve_rows(space, result))
-        summary = {}
         if args.deal == "strongest":
             exact_p = _deal_win_prob(space, result, "strongest")
             formula_p = strongest_deal_win_prob(strength, args.n)
             dev = abs(exact_p - formula_p)
             ok = dev <= 1e-9
-            failures += not ok
             summary = {
                 "deal": "strongest",
                 "exact_win_prob": exact_p,
@@ -282,28 +240,16 @@ def cmd_exact(args) -> int:
                 f"{exact_p:.9f}, closed form {formula_p:.9f}, "
                 f"dev {dev:.2e} -> {'pass' if ok else 'FAIL'}"
             )
-    else:
-        raise ValueError("exact supports --game pwar or fwar")
+    rows = list(solve_rows(space, result))
     print(f"{len(rows)} states solved")
-    if args.out:
-        solve = {"method": result.method, "residual": result.residual,
-                 "states": space.n_states,
-                 "transitions": len(space.trans_rows)}
-        meta = run_metadata(config=inputs, game=args.game, summary=summary,
-                            solve=solve)
-        if args.format == "json":
-            write_json(args.out, {"metadata": meta, "states": rows,
-                                  "summary": summary})
-        else:
-            write_table_csv(
-                args.out,
-                ["state_index", "state", "win_prob_a", "expected_tau"],
-                [[r["state_index"], r["state"], repr(r["win_prob_a"]),
-                  repr(r["expected_tau"])] for r in rows],
-                metadata=meta,
-            )
-        print(f"wrote {args.out}")
-    return 1 if failures else 0
+    solve = {"method": result.method, "residual": result.residual,
+             "states": space.n_states, "transitions": len(space.trans_rows)}
+    meta = run_metadata(config=inputs, game=args.game, summary=summary,
+                        solve=solve)
+    _emit(args, {"metadata": meta, "states": rows, "summary": summary},
+          rows_key="states",
+          header=["state_index", "state", "win_prob_a", "expected_tau"])
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,134 +257,9 @@ def cmd_exact(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_rules() -> list[dict]:
-    from .rules import validate_rule
-
-    cases = []
-    decks = [
-        ("6x1", build_deck((6, 1))),
-        ("3x2", build_deck((3, 2))),
-        ("4x1", build_deck((4, 1))),
-    ]
-    for name in RULE_NAMES:
-        rule = rule_by_name(name)
-        expected_symmetric = name != "max-holder"
-        for label, deck in decks:
-            if name in ("greater", "max-holder") and deck.has_repeated_ranks:
-                continue
-            report = validate_rule(rule, deck)
-            ok = (
-                report.is_valid_rule
-                and report.is_symmetric == expected_symmetric
-                and report.reads_witness is None
-            )
-            cases.append(
-                {
-                    "suite": "rules",
-                    "check": f"{name} on {label}",
-                    "deviation": report.max_violation,
-                    "tolerance": 1e-12,
-                    "pass": ok,
-                }
-            )
-    return cases
-
-
-def _verify_theorem() -> list[dict]:
-    from .exact import verify_uniform_preservation
-
-    cases = []
-    symmetric = [
-        ("coin", None),
-        ("greater-tiecoin", None),
-        ("powered", None),
-        ("bradley-terry", strength_builtin("identity")),
-    ]
-    for size in (4, 6, 8, 10, 12):
-        deck = build_deck((size, 1))
-        for name, strength in symmetric:
-            rule = rule_by_name(name, strength)
-            worst = 0.0
-            for k in range(1, size):
-                worst = max(
-                    worst, verify_uniform_preservation(rule, deck, k)
-                )
-            cases.append(
-                {
-                    "suite": "theorem",
-                    "check": f"uniformity preserved: {name} on {size}x1",
-                    "deviation": worst,
-                    "tolerance": 1e-12,
-                    "pass": worst <= 1e-12,
-                }
-            )
-    return cases
-
-
-def _verify_martingales() -> list[dict]:
-    from .exact import enumerate_fwar, verify_martingales
-
-    cases = []
-    strengths = [
-        strength_builtin("constant"),
-        strength_builtin("identity"),
-        strength_builtin("exponential", lam=1.0),
-    ]
-    for n in range(2, 6):
-        for strength in strengths:
-            space = enumerate_fwar(n, strength)
-            dm, dq = verify_martingales(space, strength)
-            dev = max(dm, dq)
-            cases.append(
-                {
-                    "suite": "martingales",
-                    "check": (
-                        f"zero drift: n={n}, {strength.describe()}"
-                    ),
-                    "deviation": dev,
-                    "tolerance": 1e-9,
-                    "pass": dev <= 1e-9,
-                }
-            )
-    return cases
-
-
-def _verify_identity() -> list[dict]:
-    from .exact import counting_identity
-
-    ok = all(
-        counting_identity(n, k)
-        for n in range(1, 21)
-        for k in range(1, 2 * n)
-    )
-    return [
-        {
-            "suite": "identity",
-            "check": "counting identity, n <= 20, exact rationals",
-            "deviation": 0.0 if ok else 1.0,
-            "tolerance": 0.0,
-            "pass": ok,
-        }
-    ]
-
-
-VERIFY_SUITES = {
-    "rules": _verify_rules,
-    "theorem": _verify_theorem,
-    "martingales": _verify_martingales,
-    "identity": _verify_identity,
-}
-
-
 def cmd_verify(args) -> int:
-    from .stats import run_metadata
-
-    names = (
-        list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    )
-    cases = []
-    for name in names:
-        cases.extend(VERIFY_SUITES[name]())
+    names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    cases = [case for name in names for case in VERIFY_SUITES[name]()]
     width = max(len(c["check"]) for c in cases)
     for c in cases:
         status = "pass" if c["pass"] else "FAIL"
@@ -462,198 +283,19 @@ def cmd_verify(args) -> int:
 # reproduce
 # ---------------------------------------------------------------------------
 
-
-def _reproduce_rounds(args) -> tuple[list[dict], int]:
-    from .classic import ClassicConfig
-    from .pwar import PwarConfig
-    from .stats import run_trials, summarize_records
-
-    trials = args.trials
-    models = {
-        "war_ties": ClassicConfig(
-            deck=(13, 4), tie="war_round", min_hand=REFERENCE_MIN_HAND
-        ),
-        "coin_ties": ClassicConfig(
-            deck=(13, 4), tie="coin_flip", min_hand=REFERENCE_MIN_HAND
-        ),
-        "random_draw": PwarConfig(deck=(13, 4), rule="greater-tiecoin"),
-        "distinct": ClassicConfig(
-            deck=(52, 1), tie="war_round", min_hand=REFERENCE_MIN_HAND
-        ),
-    }
-    rows = []
-    failures = 0
-    for name, config in models.items():
-        records = run_trials(config, trials, args.seed,
-                             workers=args.workers)
-        stats = summarize_records(records)
-        ref = REFERENCE_ROUNDS[name]
-        checks = []
-        if name == "random_draw":
-            # The random-draw model is pinned to its exact gambler's-ruin
-            # value 26*26=676 rather than the reference table's 625; see
-            # the note printed below.
-            sem = stats.std / math.sqrt(stats.n_trials)
-            checks.append(("mean", stats.mean, 676.0, 3 * sem, "3 SE"))
-        else:
-            tol = 0.10 if name == "war_ties" else 0.05
-            checks.append(
-                ("mean", stats.mean, ref["mean"], tol * ref["mean"],
-                 f"+-{tol:.0%}")
-            )
-            if name == "war_ties":
-                checks.append(
-                    ("median", stats.median, ref["median"],
-                     tol * ref["median"], f"+-{tol:.0%}")
-                )
-        for metric, got, target, tol_abs, tol_label in checks:
-            ok = abs(got - target) <= tol_abs
-            failures += not ok
-            rows.append(
-                {
-                    "target": "rounds",
-                    "model": name,
-                    "metric": metric,
-                    "artifact": round(got, 3),
-                    "reference": ref[metric],
-                    "pass_target": target,
-                    "tolerance": tol_label,
-                    "pass": ok,
-                }
-            )
-        rows.append(
-            {
-                "target": "rounds",
-                "model": name,
-                "metric": "max",
-                "artifact": stats.max,
-                "reference": ref["max"],
-                "pass_target": "",
-                "tolerance": "(reported only)",
-                "pass": True,
-            }
-        )
-    return rows, failures
-
-
-def _reproduce_aces(args) -> tuple[list[dict], int]:
-    from .classic import TiePolicy, aces_win_table
-
-    rows = []
-    failures = 0
-    for policy in ("war_round", "coin_flip"):
-        table = aces_win_table(
-            build_deck((13, 4)),
-            TiePolicy(kind=policy),
-            trials_per_cell=args.trials_per_cell,
-            seed=args.seed,
-            min_hand=REFERENCE_MIN_HAND,
-            workers=args.workers,
-        )
-        for row in table:
-            k = row["k"]
-            ref = REFERENCE_ACES[policy][k]
-            structural = policy == "coin_flip" and k in (0, 4)
-            if structural:
-                ok = row["p_win"] == ref
-                tol_label = "exact"
-            else:
-                ok = abs(row["p_win"] - ref) <= 0.02
-                tol_label = "+-0.02"
-            failures += not ok
-            rows.append(
-                {
-                    "target": "aces",
-                    "model": policy,
-                    "metric": f"P(win | {k} strongest)",
-                    "artifact": round(row["p_win"], 4),
-                    "reference": ref,
-                    "pass_target": ref,
-                    "tolerance": tol_label,
-                    "pass": ok,
-                }
-            )
-    return rows, failures
-
-
-def _reproduce_scaling(args) -> tuple[list[dict], int]:
-    from .fwar import FwarConfig
-    from .stats import run_trials
-
-    rows = []
-    failures = 0
-    means = {}
-    for n in (8, 16, 32):
-        config = FwarConfig(n=n, strength="shifted", deal="iid")
-        records = run_trials(config, args.trials_scaling, args.seed,
-                             workers=args.workers)
-        played = [r for r in records if r.tau > 0]
-        lo_bound = (n + 1) ** 2
-        hi_bound = 4 * n * n
-        in_bounds = all(
-            lo_bound - 1e-9 <= r.q_final / r.tau <= hi_bound + 1e-9
-            for r in played
-        )
-        failures += not in_bounds
-        mean_tau = sum(r.tau for r in records) / len(records)
-        means[n] = mean_tau
-        rows.append(
-            {
-                "target": "scaling",
-                "model": f"shifted strengths, n={n}",
-                "metric": "mean_tau (empirical constant mean/n^2)",
-                "artifact": round(mean_tau, 2),
-                "reference": f"c={mean_tau / n**2:.4f}",
-                "pass_target": "",
-                "tolerance": "(reported only)",
-                "pass": True,
-            }
-        )
-        rows.append(
-            {
-                "target": "scaling",
-                "model": f"shifted strengths, n={n}",
-                "metric": "pathwise Q_tau/tau bounds",
-                "artifact": "all trials" if in_bounds else "violated",
-                "reference": f"[{lo_bound}, {hi_bound}]",
-                "pass_target": "in bounds",
-                "tolerance": "every trial",
-                "pass": in_bounds,
-            }
-        )
-    for lo, hi in ((8, 16), (16, 32)):
-        ratio = means[hi] / means[lo]
-        ok = 3.5 <= ratio <= 4.5
-        failures += not ok
-        rows.append(
-            {
-                "target": "scaling",
-                "model": f"n={lo} -> n={hi}",
-                "metric": "mean_tau ratio per doubling",
-                "artifact": round(ratio, 3),
-                "reference": 4.0,
-                "pass_target": "[3.5, 4.5]",
-                "tolerance": "window",
-                "pass": ok,
-            }
-        )
-    return rows, failures
+#: The option holding each reproduce target's trial count.
+_TRIALS_OPTION = {
+    "rounds": "trials",
+    "aces": "trials_per_cell",
+    "scaling": "trials_scaling",
+}
 
 
 def cmd_reproduce(args) -> int:
-    from .stats import run_metadata
-
     target = "aces" if args.target == "aces-table" else args.target
-    if target == "rounds":
-        rows, failures = _reproduce_rounds(args)
-    elif target == "aces":
-        rows, failures = _reproduce_aces(args)
-    elif target == "scaling":
-        rows, failures = _reproduce_scaling(args)
-    else:
-        raise ValueError(
-            "reproduce target must be rounds, aces or scaling"
-        )
+    option = _TRIALS_OPTION[target]
+    trials = getattr(args, option)
+    rows = REPRODUCE_TARGETS[target](trials, args.seed, args.workers)
     for r in rows:
         status = "pass" if r["pass"] else "FAIL"
         print(
@@ -668,12 +310,17 @@ def cmd_reproduce(args) -> int:
             "stopped when a hand drops below 2 cards, the convention the "
             "top-card models above reproduce."
         )
-    print(f"{len(rows) - failures}/{len(rows)} comparisons passed")
+    failed = sum(not r["pass"] for r in rows)
+    print(f"{len(rows) - failed}/{len(rows)} comparisons passed")
+    settings = {option: trials}
+    if target != "scaling":
+        settings["min_hand"] = REFERENCE_MIN_HAND
     _emit(
         args,
         {
             "metadata": run_metadata(
-                seed=args.seed, target=target, workers=args.workers
+                seed=args.seed, target=target, workers=args.workers,
+                **settings,
             ),
             "comparisons": rows,
         },
@@ -683,7 +330,7 @@ def cmd_reproduce(args) -> int:
             "pass_target", "tolerance", "pass",
         ],
     )
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +338,23 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser. It keeps its options by dest so that
+    ``--config`` values get the same checks as flags."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``warlab`` parser. Its ``commands`` attribute maps each
+    subcommand's name to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="warlab",
         description=(
@@ -702,21 +365,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"warlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Command)
+    parser.commands = {}
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="base seed; trial i uses stream id i")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers (default: WARLAB_WORKERS "
-                            "env var, else 1)")
+    def command(name, func, seeded, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0,
+                           help="base seed; trial i uses stream id i")
+            p.add_argument("--workers", type=int, default=None,
+                           help="parallel workers (default: WARLAB_WORKERS "
+                                "env var, else 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output file path")
         p.add_argument("--config",
                        help="JSON file of defaults; flags override it")
+        parser.commands[name] = p
+        return p
 
-    sim = sub.add_parser("simulate", help="run seeded Monte Carlo trials")
-    common(sim)
+    sim = command("simulate", cmd_simulate, seeded=True,
+                  help="run seeded Monte Carlo trials")
     sim.add_argument("--game", choices=("pwar", "fwar", "classic"),
                      required=True)
     sim.add_argument("--trials", type=int, default=10000)
@@ -742,14 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="forfeit threshold at round start (2 matches "
                           "the reference tables)")
     sim.add_argument("--max-rounds", dest="max_rounds", type=int,
-                     default=10_000_000)
+                     default=DEFAULT_MAX_ROUNDS)
     sim.add_argument("--bins", type=int, default=None,
                      help="also emit a round-count histogram")
-    sim.set_defaults(func=cmd_simulate)
 
-    exa = sub.add_parser("exact",
-                         help="enumerate and solve a small instance")
-    common(exa)
+    exa = command("exact", cmd_exact, seeded=False,
+                  help="enumerate and solve a small instance")
     exa.add_argument("--game", choices=("pwar", "fwar"), required=True)
     exa.add_argument("--deck", default="8x1")
     exa.add_argument("--rule", default="coin")
@@ -766,20 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'strongest' compares the exact win probability "
                           "under the strongest-card deal with its closed "
                           "form")
-    exa.set_defaults(func=cmd_exact)
 
-    ver = sub.add_parser("verify", help="run the exact check suites")
-    common(ver)
-    ver.add_argument("suite",
-                     choices=("rules", "theorem", "martingales",
-                              "identity", "all"))
-    ver.set_defaults(func=cmd_verify)
+    ver = command("verify", cmd_verify, seeded=False,
+                  help="run the exact check suites")
+    ver.add_argument("suite", choices=(*VERIFY_SUITES, "all"))
 
-    rep = sub.add_parser(
-        "reproduce",
-        help="re-run the reference experiments and compare",
-    )
-    common(rep)
+    rep = command("reproduce", cmd_reproduce, seeded=True,
+                  help="re-run the reference experiments and compare")
     rep.add_argument("target",
                      choices=("rounds", "aces", "aces-table", "scaling"))
     rep.add_argument("--trials", type=int, default=50000,
@@ -789,12 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trials per strongest-count cell")
     rep.add_argument("--trials-scaling", dest="trials_scaling", type=int,
                      default=20000, help="trials per scaling size")
-    rep.set_defaults(func=cmd_reproduce)
     return parser
 
 
 def _apply_config_file(parser, argv):
-    """Load --config JSON as parser defaults, keeping flag precedence."""
+    """Load --config JSON as the chosen subcommand's defaults, keeping flag
+    precedence.
+
+    Each value stands for the flag text it replaces, so it passes the
+    option's ``type`` and ``choices`` as that text would. Keys of another
+    subcommand are accepted and ignored; keys no subcommand has are not.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
@@ -804,19 +470,41 @@ def _apply_config_file(parser, argv):
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
-    valid = set()
-    for action in parser._subparsers._group_actions[0].choices.values():
-        valid.update(a.dest for a in action._actions)
-    unknown = set(values) - valid
+    unknown = set(values).difference(
+        *(p.options for p in parser.commands.values())
+    )
     if unknown:
         raise ValueError(
             f"unknown config keys: {sorted(unknown)}"
         )
-    for action in parser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(
-            **{k: v for k, v in values.items()
-               if k in {a.dest for a in action._actions}}
-        )
+    command = parser.commands.get(argv[0])
+    if command is None:
+        return  # parse_args reports the missing or unknown subcommand
+    defaults = {}
+    for key, value in values.items():
+        action = command.options.get(key)
+        if action is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(
+                f"config key {key!r}: expected a string or a number, "
+                f"got {value!r}"
+            )
+        text = str(value)
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r}: invalid {action.type.__name__} "
+                f"value {text!r}"
+            ) from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(
+                f"config key {key!r}: invalid choice {value!r} (choose "
+                f"from {', '.join(map(str, action.choices))})"
+            )
+        defaults[key] = value
+    command.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
@@ -825,9 +513,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        if getattr(args, "workers", None) is None:
-            from .stats import default_workers
-
+        if "workers" in vars(args) and args.workers is None:
             args.workers = default_workers()
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -186,6 +186,9 @@ WINNER_B = "B"
 DRAW = "Draw"
 TRUNCATED = "Truncated"
 
+#: Cap on rounds per game; arbitrary rules need not terminate.
+DEFAULT_MAX_ROUNDS = 10_000_000
+
 
 @dataclass(frozen=True)
 class TrialRecord:

@@ -27,6 +27,7 @@ from typing import Optional
 
 from . import rules
 from .core import (
+    DEFAULT_MAX_ROUNDS,
     TRUNCATED,
     WINNER_A,
     WINNER_B,
@@ -40,8 +41,6 @@ from .core import (
     built,
     deal_uniform,
 )
-
-DEFAULT_MAX_ROUNDS = 10_000_000
 
 #: How the winner returns the pair to the bottom of their hand.
 RETURN_ORDERS = ("random", "own_first", "captured_first")

@@ -20,6 +20,7 @@ from typing import Optional
 
 from . import rules
 from .core import (
+    DEFAULT_MAX_ROUNDS,
     TRUNCATED,
     WINNER_A,
     WINNER_B,
@@ -32,9 +33,6 @@ from .core import (
     built,
     deal_uniform,
 )
-
-#: Cap on rounds per game; arbitrary rules need not terminate.
-DEFAULT_MAX_ROUNDS = 10_000_000
 
 _EMPTY: frozenset = frozenset()
 

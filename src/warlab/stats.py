@@ -286,8 +286,9 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
-               metadata: Optional[dict] = None) -> None:
+def write_table_csv(path: str, header: Sequence[str],
+                    rows: Iterable[Sequence],
+                    metadata: Optional[dict] = None) -> None:
     """CSV with comma delimiter, dot decimals, header row, newline-
     terminated records; metadata rides along as one leading '# ' comment
     line holding JSON."""
@@ -302,7 +303,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
 
 def write_stats_csv(path: str, stats: SampleStats,
                     metadata: Optional[dict] = None) -> None:
-    _write_csv(
+    write_table_csv(
         path,
         [
             "n_trials", "mean", "median", "max", "std",
@@ -323,13 +324,7 @@ def write_histogram_csv(path: str, hist: HistogramData,
         [repr(hist.bin_edges[i]), repr(hist.bin_edges[i + 1]), c]
         for i, c in enumerate(hist.counts)
     ]
-    _write_csv(path, ["bin_lo", "bin_hi", "count"], rows, metadata)
-
-
-def write_table_csv(path: str, header: Sequence[str],
-                    rows: Iterable[Sequence],
-                    metadata: Optional[dict] = None) -> None:
-    _write_csv(path, header, rows, metadata)
+    write_table_csv(path, ["bin_lo", "bin_hi", "count"], rows, metadata)
 
 
 def read_csv_with_metadata(path: str) -> tuple[Optional[dict], list]:

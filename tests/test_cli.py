@@ -150,7 +150,7 @@ class TestExact:
                 "greater", "--uniform-size", "3"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(argv + ["--out", str(a)]) == 0
-        assert main(argv + ["--out", str(b), "--seed", "5"]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_shifted_strength_defaults_shift_to_n(self, tmp_path):
@@ -210,10 +210,20 @@ class TestReproduce:
         assert rc == 0
         meta, rows = read_csv_with_metadata(out)
         assert meta["target"] == "rounds"
+        assert meta["trials"] == 4000
+        assert meta["min_hand"] == 2
         header = rows[0]
-        models = {dict(zip(header, r))["model"] for r in rows[1:]}
-        assert models == {"war_ties", "coin_ties", "random_draw",
-                          "distinct"}
+        reference = {}
+        for r in rows[1:]:
+            row = dict(zip(header, r))
+            reference[row["model"], row["metric"]] = float(row["reference"])
+        assert reference == {
+            ("war_ties", "mean"): 397, ("war_ties", "median"): 302,
+            ("war_ties", "max"): 3752,
+            ("coin_ties", "mean"): 628, ("coin_ties", "max"): 5510,
+            ("random_draw", "mean"): 625, ("random_draw", "max"): 5900,
+            ("distinct", "mean"): 624, ("distinct", "max"): 8026,
+        }
 
     def test_scaling_small(self, tmp_path):
         out = str(tmp_path / "scaling.json")
@@ -243,6 +253,12 @@ class TestReproduce:
         assert meta["target"] == "aces"
         header = rows[0]
         byname = [dict(zip(header, r)) for r in rows[1:]]
+        for model, reference in (
+            ("war_round", [0.108, 0.293, 0.500, 0.706, 0.892]),
+            ("coin_flip", [0.000, 0.243, 0.500, 0.757, 1.000]),
+        ):
+            assert [float(r["reference"]) for r in byname
+                    if r["model"] == model] == reference
         coin_rows = [r for r in byname if r["model"] == "coin_flip"]
         assert coin_rows[0]["artifact"] == "0.0"
         assert coin_rows[4]["artifact"] == "1.0"
@@ -264,6 +280,25 @@ class TestConfigFile:
         payload = json.loads(open(out).read())
         assert payload["metadata"]["n_trials"] == 123  # from file
         assert payload["metadata"]["seed"] == 9  # flag wins
+
+    @pytest.mark.parametrize("argv,values,key", [
+        (["verify", "identity"], {"format": "xml", "trials": 5}, "format"),
+        (["simulate", "--game", "classic", "--trials", "5"],
+         {"tie": "bogus"}, "tie"),
+        (["simulate", "--game", "pwar", "--trials", "5"],
+         {"trials": 1.5}, "trials"),
+    ], ids=["choices", "tie", "type"])
+    def test_values_checked_like_flags(self, tmp_path, capsys, argv, values,
+                                       key):
+        """A config value passes the option's type and choices, as the
+        flag would; a key of another subcommand (here ``trials`` for
+        verify) is still accepted."""
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "conf.json"
@@ -311,6 +346,16 @@ class TestEntryPoints:
         ])
         assert rc == 0
         assert json.loads(open(out).read())["metadata"]["workers"] == 2
+
+    def test_unseeded_commands_take_no_workers(self, monkeypatch):
+        """exact and verify draw no randomness, so they take neither
+        --seed nor --workers and ignore WARLAB_WORKERS."""
+        monkeypatch.setenv("WARLAB_WORKERS", "zero")
+        assert main(["verify", "identity"]) == 0
+        assert main(["exact", "--game", "pwar", "--deck", "4x1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--game", "pwar", "--deck", "4x1", "--seed", "5"])
+        assert exc.value.code == 2
 
     def test_bad_workers_env(self, monkeypatch):
         monkeypatch.setenv("WARLAB_WORKERS", "zero")
