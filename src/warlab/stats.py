@@ -301,37 +301,10 @@ def write_table_csv(path: str, header: Sequence[str],
             writer.writerow(row)
 
 
-def write_stats_csv(path: str, stats: SampleStats,
-                    metadata: Optional[dict] = None) -> None:
-    write_table_csv(
-        path,
-        [
-            "n_trials", "mean", "median", "max", "std",
-            "ci95_lo", "ci95_hi", "truncated_count", "draw_count",
-        ],
-        [[
-            stats.n_trials, repr(stats.mean), repr(stats.median),
-            repr(stats.max), repr(stats.std), repr(stats.ci95[0]),
-            repr(stats.ci95[1]), stats.truncated_count, stats.draw_count,
-        ]],
-        metadata,
-    )
-
-
-def write_histogram_csv(path: str, hist: HistogramData,
-                        metadata: Optional[dict] = None) -> None:
-    rows = [
-        [repr(hist.bin_edges[i]), repr(hist.bin_edges[i + 1]), c]
-        for i, c in enumerate(hist.counts)
-    ]
-    write_table_csv(path, ["bin_lo", "bin_hi", "count"], rows, metadata)
-
-
 def read_csv_with_metadata(path: str) -> tuple[Optional[dict], list]:
-    """Inverse of the CSV emitters: (metadata dict or None, rows incl.
-    header)."""
+    """Inverse of :func:`write_table_csv`: (metadata dict or None, rows
+    incl. header)."""
     metadata = None
-    rows = []
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if first.startswith("# "):

@@ -44,6 +44,38 @@ class TestSimulate:
         assert hist_rows[0] == ["bin_lo", "bin_hi", "count"]
         assert sum(int(r[2]) for r in hist_rows[1:]) == 300
 
+    def test_csv_row_is_json_stats(self, tmp_path):
+        """One run written as CSV and as JSON carries the same content:
+        the stats CSV row is the JSON ``stats`` object (``win_freq_a``
+        included, floats as ``repr``), each ``.hist.csv`` row is one bin
+        of the JSON histogram, and both CSV comment lines hold the JSON
+        metadata."""
+        argv = ["simulate", "--game", "pwar", "--rule", "coin", "--deck",
+                "8x1", "--trials", "300", "--seed", "3", "--bins", "5"]
+        csv_out, json_out = str(tmp_path / "r.csv"), tmp_path / "r.json"
+        assert main([*argv, "--out", csv_out]) == 0
+        assert main([*argv, "--format", "json", "--out", str(json_out)]) == 0
+        payload = json.loads(json_out.read_text())
+        meta, (header, values) = read_csv_with_metadata(csv_out)
+        assert meta == payload["metadata"]
+        assert meta["seed"] == 3
+        assert meta["rng_algorithm"].startswith("mt19937")
+        assert header == ["n_trials", "mean", "median", "max", "std",
+                          "ci95_lo", "ci95_hi", "truncated_count",
+                          "draw_count", "win_freq_a"]
+        stats = payload["stats"]
+        assert dict(zip(header, values)) == {
+            k: repr(v) for k, v in stats.items()}
+        assert stats["n_trials"] == 300
+        hist_meta, hist_rows = read_csv_with_metadata(csv_out + ".hist.csv")
+        assert hist_meta == payload["metadata"]
+        assert hist_rows[0] == ["bin_lo", "bin_hi", "count"]
+        edges = payload["histogram"]["bin_edges"]
+        counts = payload["histogram"]["counts"]
+        assert hist_rows[1:] == [[repr(lo), repr(hi), repr(c)] for lo, hi, c
+                                 in zip(edges, edges[1:], counts)]
+        assert sum(counts) == 300
+
     def test_fwar_strongest_deal(self, tmp_path):
         rc = main([
             "simulate", "--game", "fwar", "--n", "4",
@@ -162,6 +194,15 @@ class TestExact:
         rows = json.loads(default.read_text())["states"]
         assert rows == json.loads(explicit.read_text())["states"]
         assert len(rows) == 24
+
+    def test_max_holder_walk_comparison_not_checked(self, capsys):
+        """max-holder is not symmetric, so the walk oracle is reported as
+        unchecked rather than passed."""
+        assert main(["exact", "--game", "pwar", "--rule", "max-holder",
+                     "--deck", "6x1", "--uniform-size", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "max dev 5.33e+00 -> walk comparison not checked" in out
+        assert "pass" not in out
 
     def test_oversized_deck_clean_error(self, capsys):
         rc = main([
@@ -307,6 +348,34 @@ class TestConfigFile:
             "simulate", "--game", "pwar", "--deck", "6x1",
             "--config", str(cfg),
         ]) == 2
+
+
+class TestGameOptions:
+    @pytest.mark.parametrize("argv,flag", [
+        (["exact", "--game", "fwar", "--n", "3", "--uniform-size", "2"],
+         "--uniform-size"),
+        (["exact", "--game", "pwar", "--deck", "4x1", "--deal",
+          "strongest"], "--deal"),
+        (["simulate", "--game", "classic", "--rule", "bogus", "--deck",
+          "4x1", "--trials", "5"], "--rule"),
+    ], ids=["exact-fwar", "exact-pwar", "simulate-classic"])
+    def test_unread_flag_rejected(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} is not read by --game {argv[2]}\n")
+        assert not out.exists()
+
+    def test_config_values_of_other_games_accepted(self, tmp_path):
+        """A config file may hold settings of several games; each run
+        reads those of its own game."""
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"n": 4, "rule": "greater", "tie": "coin",
+                                   "deal": "strongest"}))
+        for argv in (["simulate", "--game", "classic", "--deck", "4x1",
+                      "--trials", "5"],
+                     ["exact", "--game", "pwar", "--deck", "4x1"]):
+            assert main([*argv, "--config", str(cfg)]) == 0
 
 
 def _child(*args):
