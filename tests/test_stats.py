@@ -17,6 +17,7 @@ from warlab.stats import (
     fairness_test,
     histogram,
     run_metadata,
+    read_csv_with_metadata,
     run_trials,
     summarize,
     summarize_records,
@@ -210,6 +211,32 @@ class TestRunTrials:
 
 
 class TestEmitters:
+    def test_stats_csv_round_trip(self, tmp_path):
+        stats = summarize([1, 2, 3, 4])
+        meta = run_metadata(seed=9, n_trials=4)
+        path = str(tmp_path / "stats.csv")
+        write_table_csv(path, ["n_trials", "mean"],
+                        [[stats.n_trials, stats.mean]], metadata=meta)
+        got_meta, rows = read_csv_with_metadata(path)
+        assert got_meta["seed"] == 9
+        assert got_meta["rng_algorithm"].startswith("mt19937")
+        header, values = rows
+        record = dict(zip(header, values))
+        assert float(record["mean"]) == stats.mean
+        assert int(record["n_trials"]) == 4
+
+    def test_histogram_csv(self, tmp_path):
+        hist = histogram([1, 2, 2, 3], 3)
+        path = str(tmp_path / "hist.csv")
+        edges = hist.bin_edges
+        write_table_csv(path, ["bin_lo", "bin_hi", "count"],
+                        zip(edges, edges[1:], hist.counts),
+                        metadata={"seed": 0})
+        got_meta, rows = read_csv_with_metadata(path)
+        assert got_meta == {"seed": 0}
+        assert rows[0] == ["bin_lo", "bin_hi", "count"]
+        assert sum(int(r[2]) for r in rows[1:]) == 4
+
     def test_table_csv_newline_terminated(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_table_csv(path, ["a", "b"], [[1, 2], [3, 4]])
