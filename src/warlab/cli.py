@@ -59,14 +59,27 @@ def _strength_param(args) -> Optional[float]:
 
 
 def _reject_unread_options(command, args) -> None:
-    """Raise naming the first option the chosen ``--game`` does not read
+    """Raise naming the first option the chosen settings do not read
     that is off its parser default, so no asked-for setting or check is
-    dropped unseen."""
-    unread = set().union(*_GAME_OPTIONS.values()) - _GAME_OPTIONS[args.game]
+    dropped unseen. Unread are the options of other games, the strength
+    options of a random-draw rule other than ``bradley-terry``, and the
+    parameter of a strength family that takes the other one (``--shift``
+    of ``shifted``, ``--lam`` of ``exponential``)."""
+    others = set().union(*_GAME_OPTIONS.values()) - _GAME_OPTIONS[args.game]
+    unread = dict.fromkeys(others, f"--game {args.game}")
+    if args.game == "pwar" and args.rule != "bradley-terry":
+        unread.update(dict.fromkeys(("strength", "shift", "lam"),
+                                    f"--rule {args.rule}"))
+    elif args.game != "classic":
+        kind = args.strength or "identity"
+        if kind != "shifted":
+            unread["shift"] = f"--strength {kind}"
+        if kind != "exponential":
+            unread["lam"] = f"--strength {kind}"
     for dest, action in command.options.items():
         if dest in unread and getattr(args, dest) != action.default:
             raise ValueError(f"{action.option_strings[0]} is not read by "
-                             f"--game {args.game}")
+                             f"{unread[dest]}")
 
 
 def _emit(args, payload: dict, rows: list, header: list) -> None:

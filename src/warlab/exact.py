@@ -12,12 +12,16 @@ random-draw states are the bitmask of the first player's card ids (the mask
 is the index); top-card states are the lexicographically sorted list of
 ordered hand pairs.
 
-Random-draw transitions are built with numpy, one hand size at a time,
-from a table of ``rule.eval`` over card pairs (once for rules that read
-only the cards, once per hand size for rules that read only its size, per
-state for rules that read the hand). ``scipy.sparse`` is imported on first
-use, so ``import warlab`` does not load it; its names used here
-(``gmres``, ``splu``, ...) are module attributes once loaded.
+Both chains are built with numpy. Random-draw transitions come one hand
+size at a time from a table of ``rule.eval`` over card pairs (once for
+rules that read only the cards, once per hand size for rules that read
+only its size, per state for rules that read the hand); top-card states
+are sorted by an integer code and their successors found by searching
+the codes. Every round moves the first hand's size by one, so each chain
+is bipartite between odd and even hand sizes and GMRES runs on the odd
+half alone. ``scipy.sparse`` is imported on first use, so ``import
+warlab`` does not load it; its names used here (``gmres``, ``splu``, ...)
+are module attributes once loaded.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, permutations
 from math import comb, factorial
 from typing import Iterator, Optional
 
@@ -43,7 +47,8 @@ ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 #: GMRES relative tolerance (2-norm of the residual over that of the
 #: right-hand side) and cap on its restart cycles of 20 iterations each;
-#: the chains tried up to the enumeration limits converged within 7.
+#: the odd-half systems tried up to the enumeration limits converged
+#: within 4.
 GMRES_RTOL = 1e-14
 GMRES_MAXITER = 50
 
@@ -52,6 +57,7 @@ _SCIPY = {
     "csr_matrix": "scipy.sparse",
     "identity": "scipy.sparse",
     "breadth_first_order": "scipy.sparse.csgraph",
+    "LinearOperator": "scipy.sparse.linalg",
     "gmres": "scipy.sparse.linalg",
     "splu": "scipy.sparse.linalg",
 }
@@ -93,7 +99,9 @@ class StateSpace:
     ``trans_rows/cols/probs`` are aligned triplet arrays; ``absorbing``
     flags absorbing states and ``absorbing_win`` is 1.0 where the first
     player has won. ``states`` holds bitmask ints (random-draw flavor) or
-    ``(hand_a, hand_b)`` tuple pairs (top-card flavor).
+    ``(hand_a, hand_b)`` tuple pairs (top-card flavor); ``hand_size``
+    holds |A| of each state (int64). Every round moves |A| by exactly
+    one, which :func:`absorption_solve` relies on.
     """
 
     flavor: str
@@ -104,6 +112,7 @@ class StateSpace:
     absorbing: np.ndarray
     absorbing_win: np.ndarray
     n_cards: int
+    hand_size: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -279,6 +288,7 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
         absorbing=absorbing,
         absorbing_win=win,
         n_cards=d,
+        hand_size=sizes,
     )
     _check_row_sums(space)
     return space
@@ -289,7 +299,15 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
 
     Each non-absorbing state branches four ways: winner (Bradley-Terry on
     the front cards) times the two bottom-return orders at probability 1/2
-    each.
+    each, emitted in the order win (a0 then b0 returned), win (b0, a0),
+    lose (b0, a0), lose (a0, b0).
+
+    A state is a permutation of the cards cut after its first k = |A|.
+    Its code is the base-(n+1) digits of ``a``, then of ``b``, each card
+    id stored as id + 1 and each hand padded to n digits with 0, so
+    codes sort as the ``(a, b)`` tuples do. The successors' codes follow
+    by digit arithmetic and their indices by a search of the sorted
+    codes; the whole chain is built with numpy, one pass per k.
     """
     if n > MAX_FWAR_N:
         raise ValueError(
@@ -298,52 +316,59 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
         )
     if n < 1:
         raise ValueError("n must be positive")
-    fs = strength.table(n)
-    ids = list(range(n))
-    states: list[tuple[tuple, tuple]] = []
-    for k in range(n + 1):
-        for a_set in combinations(ids, k):
-            b_set = tuple(i for i in ids if i not in a_set)
-            for a_perm in permutations(a_set):
-                for b_perm in permutations(b_set):
-                    states.append((a_perm, b_perm))
-    states.sort()
-    index = {s: i for i, s in enumerate(states)}
-    n_states = len(states)
-    absorbing = np.zeros(n_states, dtype=bool)
-    win = np.zeros(n_states)
-    rows: list[int] = []
-    cols: list[int] = []
-    probs: list[float] = []
-    for i, (a, b) in enumerate(states):
-        if not a or not b:
-            absorbing[i] = True
-            if not b:
-                win[i] = 1.0
-            continue
-        fa = fs[a[0]]
-        fb = fs[b[0]]
-        p = fa / (fa + fb)
-        a_tail, b_tail = a[1:], b[1:]
-        successors = (
-            (index[(a_tail + (a[0], b[0]), b_tail)], p * 0.5),
-            (index[(a_tail + (b[0], a[0]), b_tail)], p * 0.5),
-            (index[(a_tail, b_tail + (b[0], a[0]))], (1 - p) * 0.5),
-            (index[(a_tail, b_tail + (a[0], b[0]))], (1 - p) * 0.5),
-        )
-        for j, pr in successors:
-            rows.append(i)
-            cols.append(j)
-            probs.append(pr)
+    fs = np.asarray(strength.table(n))
+    perms = list(permutations(range(n)))
+    digits = np.array(perms, dtype=np.int64) + 1
+    base = n + 1
+    # weight[i]: place value of digit i of a hand (digit 0 the front card).
+    weight = base ** np.arange(n, -1, -1, dtype=np.int64)[1:]
+    shift = base ** n
+    codes = np.concatenate([
+        digits[:, :k] @ weight[:k] * shift + digits[:, k:] @ weight[:n - k]
+        for k in range(n + 1)
+    ])
+    order = np.argsort(codes)
+    codes = codes[order]
+    hand_size = np.repeat(np.arange(n + 1, dtype=np.int64), len(perms))[order]
+    perm_of = np.tile(np.arange(len(perms)), n + 1)[order]
+    states = [(perms[p][:k], perms[p][k:])
+              for p, k in zip(perm_of.tolist(), hand_size.tolist())]
+
+    absorbing = (hand_size == 0) | (hand_size == n)
+    transient = np.flatnonzero(~absorbing)
+    k = hand_size[transient]
+    m = n - k
+    row = digits[perm_of[transient]]
+    da = row[:, 0]
+    db = row[np.arange(k.size), k]
+    a_code, b_code = np.divmod(codes[transient], shift)
+    a_tail = (a_code - da * weight[0]) * base
+    b_tail = (b_code - db * weight[0]) * base
+    win_ab = a_tail + da * weight[k - 1] + db * weight[k]
+    win_ba = a_tail + db * weight[k - 1] + da * weight[k]
+    lose_ba = b_tail + db * weight[m - 1] + da * weight[m]
+    lose_ab = b_tail + da * weight[m - 1] + db * weight[m]
+    successors = np.stack((
+        win_ab * shift + b_tail,
+        win_ba * shift + b_tail,
+        a_tail * shift + lose_ba,
+        a_tail * shift + lose_ab,
+    ), axis=1)
+    fa = fs[da - 1]
+    fb = fs[db - 1]
+    p = fa / (fa + fb)
+    probs = np.stack((p * 0.5, p * 0.5, (1 - p) * 0.5, (1 - p) * 0.5),
+                     axis=1)
     space = StateSpace(
         flavor="fwar_ordered",
         states=states,
-        trans_rows=np.asarray(rows, dtype=np.int64),
-        trans_cols=np.asarray(cols, dtype=np.int64),
-        trans_probs=np.asarray(probs, dtype=np.float64),
+        trans_rows=np.repeat(transient, 4),
+        trans_cols=np.searchsorted(codes, successors.ravel()),
+        trans_probs=probs.ravel(),
         absorbing=absorbing,
-        absorbing_win=win,
+        absorbing_win=(hand_size == n).astype(np.float64),
         n_cards=n,
+        hand_size=hand_size,
     )
     _check_row_sums(space)
     return space
@@ -380,30 +405,44 @@ def _max_residual(a_mat, x: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a_mat @ x - b), initial=0.0))
 
 
-def _solve_systems(a_mat, rhs: list) -> tuple[list, str, float]:
-    """Solve ``a_mat x = b`` for each ``b`` in ``rhs``.
+def _solve_systems(q, odd: np.ndarray, rhs: list) -> tuple[list, str, float]:
+    """Solve ``(I - q) x = b`` for each ``b`` in ``rhs``, where ``q``
+    only joins the states ``odd`` marks to the others.
 
-    GMRES answers are kept only when every system converged (at the
-    first try or after one warm restart) and each recomputed max-abs
-    residual is within ``RESIDUAL_TOL``; otherwise one sparse-LU
-    factorization of the same matrix solves them all. Returns the
+    GMRES runs on the odd half, as :func:`absorption_solve` sets out. Its
+    answers are kept only when every system converged (at the first try
+    or after one warm restart) and each max-abs residual of the full
+    system ``I - q`` is within ``RESIDUAL_TOL``; otherwise one sparse-LU
+    factorization of the full system solves them all. Returns the
     solutions, the method kept and the largest residual.
     """
     gmres, splu = _scipy("gmres"), _scipy("splu")
+    a_mat = _scipy("identity")(q.shape[0], format="csr") - q
+    even = ~odd
+    q_oe, q_eo = q[odd][:, even], q[even][:, odd]
+    n_odd = q_oe.shape[0]
+    s_mat = _scipy("LinearOperator")(
+        (n_odd, n_odd), matvec=lambda v: v - q_oe @ (q_eo @ v),
+        dtype=np.float64,
+    )
     method = "gmres"
     xs = []
     for b in rhs:
-        x, info = gmres(a_mat, b, rtol=GMRES_RTOL, atol=0.0,
-                        maxiter=GMRES_MAXITER)
+        c = b[odd] + q_oe @ b[even]
+        x_odd, info = gmres(s_mat, c, rtol=GMRES_RTOL, atol=0.0,
+                            maxiter=GMRES_MAXITER)
         if info != 0:
             # An exact Arnoldi breakdown can end GMRES with a residual
             # a few times GMRES_RTOL |b| when |b| is small (the 14-card
-            # coin win system under single-threaded BLAS); one warm
-            # restart from that answer converges.
-            x, info = gmres(a_mat, b, x0=x, rtol=GMRES_RTOL, atol=0.0,
-                            maxiter=GMRES_MAXITER)
+            # coin win system); one warm restart from that answer
+            # converges.
+            x_odd, info = gmres(s_mat, c, x0=x_odd, rtol=GMRES_RTOL,
+                                atol=0.0, maxiter=GMRES_MAXITER)
+        x = np.empty_like(b)
+        x[odd] = x_odd
+        x[even] = b[even] + q_eo @ x_odd
         if info != 0 or _max_residual(a_mat, x, b) > RESIDUAL_TOL:
-            lu = splu(a_mat.tocsc())
+            lu = splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
             xs = [lu.solve(v) for v in rhs]
             method = "splu"
             break
@@ -417,13 +456,19 @@ def absorption_solve(space: StateSpace) -> SolveResult:
 
     win[i] = sum_j P(i, j) win[j] with boundary 1/0 at the absorbing
     states, and tau[i] = 1 + sum_j P(i, j) tau[j] with tau = 0 there.
-    Both systems are solved by GMRES; if either does not converge or its
-    residual exceeds ``RESIDUAL_TOL``, both go through sparse LU instead
-    (LU fill makes that path slow on the largest chains). The result
-    records the path kept and the larger residual. Residuals above
-    ``RESIDUAL_TOL`` after either path raise ``ValueError``. States from
-    which absorption is not almost sure raise ``AbsorptionError`` with a
-    recurrent-class witness.
+    Every round moves |A| by one, so the transient system is
+    ``[[I, -Q_oe], [-Q_eo, I]]`` between the states of odd and of even
+    ``hand_size``: GMRES solves each system on its odd half,
+    ``(I - Q_oe Q_eo) x_o = b_o + Q_oe b_e`` with the product applied as
+    two sparse products, and ``x_e = b_e + Q_eo x_o``. If either does not
+    converge or its residual on the full system exceeds
+    ``RESIDUAL_TOL``, both go through sparse LU of the full system
+    instead (LU fill makes that path slow on the largest chains). The
+    result records the path kept and the larger residual. Residuals above
+    ``RESIDUAL_TOL`` after either path raise ``ValueError``, as does a
+    transition of positive probability between two states of the same
+    hand-size parity. States from which absorption is not almost sure
+    raise ``AbsorptionError`` with a recurrent-class witness.
     """
     bad = _unreachable_states(space)
     if bad:
@@ -447,6 +492,15 @@ def absorption_solve(space: StateSpace) -> SolveResult:
         rows = rows[keep]
         cols_full = space.trans_cols[keep]
         probs = space.trans_probs[keep]
+        odd = space.hand_size % 2 == 1
+        same = np.flatnonzero(
+            (odd[transient[rows]] == odd[cols_full]) & (probs > 0.0))
+        if same.size:
+            i, j = transient[rows[same[0]]], cols_full[same[0]]
+            raise ValueError(
+                f"state {space.state_label(i)} moves to state "
+                f"{space.state_label(j)} of the same hand-size parity"
+            )
         to_transient = ~space.absorbing[cols_full]
         q = _scipy("csr_matrix")(
             (
@@ -462,9 +516,8 @@ def absorption_solve(space: StateSpace) -> SolveResult:
             rows[to_abs],
             probs[to_abs] * space.absorbing_win[cols_full[to_abs]],
         )
-        a_mat = _scipy("identity")(n_t, format="csr") - q
         (x_win, x_tau), method, residual = _solve_systems(
-            a_mat, [b_win, np.ones(n_t)]
+            q, odd[transient], [b_win, np.ones(n_t)]
         )
         if residual > RESIDUAL_TOL:
             raise ValueError(
@@ -510,13 +563,11 @@ def average_uniform_hands(
     first-player hands of a random-draw space."""
     if space.flavor != "pwar_subsets":
         raise ValueError("uniform-hand averaging needs a random-draw space")
-    masks = [m for m in space.states if bin(m).count("1") == k]
-    if not masks:
+    masks = space.hand_size == k
+    if not masks.any():
         raise ValueError(f"no states of hand size {k}")
-    w = 1.0 / len(masks)
-    mean_tau = sum(result.expected_tau[m] for m in masks) * w
-    mean_win = sum(result.win_prob_a[m] for m in masks) * w
-    return float(mean_tau), float(mean_win)
+    return (float(result.expected_tau[masks].mean()),
+            float(result.win_prob_a[masks].mean()))
 
 
 def verify_uniform_preservation(
@@ -586,21 +637,25 @@ def verify_martingales(
     """
     if space.flavor != "fwar_ordered":
         raise ValueError("martingale drifts need a top-card space")
-    fs = strength.table(space.n_cards)
-    drift_m = 0.0
-    drift_q = 0.0
-    for i, (a, b) in enumerate(space.states):
-        if space.absorbing[i]:
-            continue
-        fa = fs[a[0]]
-        fb = fs[b[0]]
-        m = sum(fs[x] for x in a)
-        p = fa / (fa + fb)
-        e_dm = p * fb - (1.0 - p) * fa
-        e_dm2 = p * (m + fb) ** 2 + (1.0 - p) * (m - fa) ** 2 - m * m
-        drift_m = max(drift_m, abs(e_dm))
-        drift_q = max(drift_q, abs(e_dm2 - fa * fb))
-    return drift_m, drift_q
+    fs = np.asarray(strength.table(space.n_cards))
+    n = space.n_cards
+    # Each state's cards as one row: hand a front to back, then hand b.
+    hands = chain.from_iterable(space.states)
+    cards = np.fromiter(chain.from_iterable(hands), dtype=np.int64,
+                        count=space.n_states * n)
+    live = ~space.absorbing
+    f = fs[cards.reshape(space.n_states, n)[live]]
+    k = space.hand_size[live]
+    rows = np.arange(k.size)
+    fa = f[:, 0]
+    fb = f[rows, k]
+    # Running sums add a's strengths front to back, as sum() would.
+    m = np.cumsum(f, axis=1)[rows, k - 1]
+    p = fa / (fa + fb)
+    e_dm = p * fb - (1.0 - p) * fa
+    e_dm2 = p * (m + fb) ** 2 + (1.0 - p) * (m - fa) ** 2 - m * m
+    return (float(np.max(np.abs(e_dm), initial=0.0)),
+            float(np.max(np.abs(e_dm2 - fa * fb), initial=0.0)))
 
 
 def _deal_win_prob(space: StateSpace, result: SolveResult,
@@ -611,15 +666,13 @@ def _deal_win_prob(space: StateSpace, result: SolveResult,
     (except the strongest, which ``strongest`` puts there) and both hands
     are uniformly permuted."""
     n = space.n_cards
-    strongest = n - 1 if deal == "strongest" else None
-    base = 0.5 ** (n - 1 if strongest is not None else n)
-    total = 0.0
-    for i, (a, b) in enumerate(space.states):
-        if strongest is not None and strongest not in a:
-            continue
-        weight = base / (factorial(len(a)) * factorial(len(b)))
-        total += weight * float(result.win_prob_a[i])
-    return total
+    k = space.hand_size
+    strongest = deal == "strongest"
+    fact = np.array([factorial(i) for i in range(n + 1)], dtype=np.float64)
+    weight = 0.5 ** (n - 1 if strongest else n) / (fact[k] * fact[n - k])
+    if strongest:
+        weight[[n - 1 not in a for a, _ in space.states]] = 0.0
+    return float(weight @ result.win_prob_a)
 
 
 def strongest_deal_exact_win_prob(

@@ -351,19 +351,25 @@ class TestConfigFile:
 
 
 class TestGameOptions:
-    @pytest.mark.parametrize("argv,flag", [
+    @pytest.mark.parametrize("argv,flag,by", [
         (["exact", "--game", "fwar", "--n", "3", "--uniform-size", "2"],
-         "--uniform-size"),
+         "--uniform-size", "--game fwar"),
         (["exact", "--game", "pwar", "--deck", "4x1", "--deal",
-          "strongest"], "--deal"),
+          "strongest"], "--deal", "--game pwar"),
         (["simulate", "--game", "classic", "--rule", "bogus", "--deck",
-          "4x1", "--trials", "5"], "--rule"),
-    ], ids=["exact-fwar", "exact-pwar", "simulate-classic"])
-    def test_unread_flag_rejected(self, tmp_path, capsys, argv, flag):
+          "4x1", "--trials", "5"], "--rule", "--game classic"),
+        (["simulate", "--game", "pwar", "--rule", "coin", "--deck", "8x1",
+          "--strength", "exponential", "--lam", "2", "--trials", "50"],
+         "--strength", "--rule coin"),
+        (["exact", "--game", "fwar", "--n", "3", "--strength", "shifted",
+          "--lam", "9"], "--lam", "--strength shifted"),
+    ], ids=["exact-fwar", "exact-pwar", "simulate-classic",
+            "simulate-pwar-strength", "exact-fwar-lam"])
+    def test_unread_flag_rejected(self, tmp_path, capsys, argv, flag, by):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {flag} is not read by --game {argv[2]}\n")
+            f"error: {flag} is not read by {by}\n")
         assert not out.exists()
 
     def test_config_values_of_other_games_accepted(self, tmp_path):

@@ -230,7 +230,92 @@ class TestReferenceBuilder:
             verify_uniform_preservation(rule_by_name(name), deck, 3)
 
 
+def _reference_fwar(n, strength):
+    """Reference for the vectorised top-card builder: the per-state loop
+    over the sorted ordered-hand states, with a dict index. Returns the
+    states and the triplet and absorption arrays."""
+    fs = strength.table(n)
+    ids = list(range(n))
+    states = []
+    for k in range(n + 1):
+        for a_set in itertools.combinations(ids, k):
+            b_set = tuple(i for i in ids if i not in a_set)
+            for a_perm in itertools.permutations(a_set):
+                for b_perm in itertools.permutations(b_set):
+                    states.append((a_perm, b_perm))
+    states.sort()
+    index = {s: i for i, s in enumerate(states)}
+    absorbing = np.zeros(len(states), dtype=bool)
+    win = np.zeros(len(states))
+    rows, cols, probs = [], [], []
+    for i, (a, b) in enumerate(states):
+        if not a or not b:
+            absorbing[i] = True
+            if not b:
+                win[i] = 1.0
+            continue
+        fa = fs[a[0]]
+        fb = fs[b[0]]
+        p = fa / (fa + fb)
+        a_tail, b_tail = a[1:], b[1:]
+        successors = (
+            (index[(a_tail + (a[0], b[0]), b_tail)], p * 0.5),
+            (index[(a_tail + (b[0], a[0]), b_tail)], p * 0.5),
+            (index[(a_tail, b_tail + (b[0], a[0]))], (1 - p) * 0.5),
+            (index[(a_tail, b_tail + (a[0], b[0]))], (1 - p) * 0.5),
+        )
+        for j, pr in successors:
+            rows.append(i)
+            cols.append(j)
+            probs.append(pr)
+    return (states, np.asarray(rows, dtype=np.int64),
+            np.asarray(cols, dtype=np.int64),
+            np.asarray(probs, dtype=np.float64), absorbing, win)
+
+
+def _reference_drifts(space, strength):
+    """Reference for the vectorised martingale check: the per-state
+    loop."""
+    fs = strength.table(space.n_cards)
+    drift_m = 0.0
+    drift_q = 0.0
+    for i, (a, b) in enumerate(space.states):
+        if space.absorbing[i]:
+            continue
+        fa = fs[a[0]]
+        fb = fs[b[0]]
+        m = sum(fs[x] for x in a)
+        p = fa / (fa + fb)
+        e_dm = p * fb - (1.0 - p) * fa
+        e_dm2 = p * (m + fb) ** 2 + (1.0 - p) * (m - fa) ** 2 - m * m
+        drift_m = max(drift_m, abs(e_dm))
+        drift_q = max(drift_q, abs(e_dm2 - fa * fb))
+    return drift_m, drift_q
+
+
+_FWAR_STRENGTHS = {
+    "identity": lambda n: strength_builtin("identity"),
+    "shifted": lambda n: strength_builtin("shifted", shift=n),
+    "exponential": lambda n: strength_builtin("exponential", lam=1.0),
+}
+
+
 class TestEnumerateFwar:
+    @pytest.mark.parametrize("kind", sorted(_FWAR_STRENGTHS))
+    @pytest.mark.parametrize("n", range(1, exact.MAX_FWAR_N + 1))
+    def test_bit_identical_to_reference(self, n, kind):
+        f = _FWAR_STRENGTHS[kind](n)
+        space = enumerate_fwar(n, f)
+        states, rows, cols, probs, absorbing, win = _reference_fwar(n, f)
+        assert space.states == states
+        assert np.array_equal(space.trans_rows, rows)
+        assert np.array_equal(space.trans_cols, cols)
+        assert np.array_equal(space.trans_probs, probs)
+        assert np.array_equal(space.absorbing, absorbing)
+        assert np.array_equal(space.absorbing_win, win)
+        assert space.hand_size.dtype == np.int64
+        assert space.hand_size.tolist() == [len(a) for a, _ in states]
+
     def test_n1_both_states_absorbing(self):
         """n=1: the two one-card states are absorbing; the game is decided
         at the deal."""
@@ -324,6 +409,23 @@ class TestAbsorptionSolve:
         assert exact._unreachable_states(space) \
             == _reference_unreachable(space)
 
+    def test_same_parity_transition_rejected(self):
+        """A step that keeps the parity of |A| (here 1 -> 3) breaks the
+        odd/even split the solver relies on, and is named."""
+        space = exact.StateSpace(
+            flavor="pwar_subsets",
+            states=[0, 1, 2, 3],
+            trans_rows=np.array([1, 1, 2, 2]),
+            trans_cols=np.array([0, 3, 1, 3]),
+            trans_probs=np.array([0.5, 0.5, 0.5, 0.5]),
+            absorbing=np.array([True, False, False, True]),
+            absorbing_win=np.array([0.0, 0.0, 0.0, 1.0]),
+            n_cards=3,
+            hand_size=np.array([0, 1, 2, 3], dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="state 1 moves to state 3 "):
+            absorption_solve(space)
+
     def test_solve_rows_export(self):
         deck = build_deck((2, 1))
         space = enumerate_pwar(deck, rule_coin())
@@ -391,9 +493,9 @@ class TestSolverPaths:
 
         factored = []
 
-        def recording_splu(a_mat):
+        def recording_splu(a_mat, **kwargs):
             factored.append(a_mat)
-            return splu(a_mat)
+            return splu(a_mat, **kwargs)
 
         space = enumerate_pwar(build_deck((6, 1)), rule_powered())
         monkeypatch.setattr(exact, "splu", recording_splu)
@@ -402,7 +504,7 @@ class TestSolverPaths:
         assert result.residual <= exact.RESIDUAL_TOL
         assert absorption_solve(space).method == "gmres"
         (a_mat,) = factored
-        lu = splu(a_mat)
+        lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A")
         t = ~space.absorbing
         b_win = np.zeros(space.n_states)
         np.add.at(b_win, space.trans_rows,
@@ -444,7 +546,7 @@ class TestSolverPaths:
 
         space = enumerate_pwar(build_deck((6, 1)), rule_coin())
         monkeypatch.setattr(exact, "gmres", _wrong_answer)
-        monkeypatch.setattr(exact, "splu", lambda a_mat: _BadLU())
+        monkeypatch.setattr(exact, "splu", lambda a_mat, **kwargs: _BadLU())
         with pytest.raises(ValueError, match="residual"):
             absorption_solve(space)
 
@@ -602,6 +704,16 @@ class TestMartingaleDrifts:
         space = enumerate_fwar(5, f)
         dm, dq = verify_martingales(space, f)
         assert max(dm, dq) <= 1e-9
+
+    @pytest.mark.parametrize("kind", sorted(_FWAR_STRENGTHS))
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_matches_reference_loop(self, n, kind):
+        f = _FWAR_STRENGTHS[kind](n)
+        space = enumerate_fwar(n, f)
+        dm, dq = verify_martingales(space, f)
+        ref_m, ref_q = _reference_drifts(space, f)
+        assert abs(dm - ref_m) <= 1e-12
+        assert abs(dq - ref_q) <= 1e-12
 
     def test_flavor_check(self):
         space = enumerate_pwar(build_deck((4, 1)), rule_coin())
