@@ -31,7 +31,6 @@ from .core import (
     StrengthFunction,
     TrialRecord,
     WinningRule,
-    bernoulli_flag,
     build_deck,
     deal_uniform,
     validate_state,

@@ -62,20 +62,27 @@ def _reject_unread_options(command, args) -> None:
     """Raise naming the first option the chosen settings do not read
     that is off its parser default, so no asked-for setting or check is
     dropped unseen. Unread are the options of other games, the strength
-    options of a random-draw rule other than ``bradley-terry``, and the
+    options of a random-draw rule other than ``bradley-terry``, the
     parameter of a strength family that takes the other one (``--shift``
-    of ``shifted``, ``--lam`` of ``exponential``)."""
+    of ``shifted``, ``--lam`` of ``exponential``), ``--split`` of a
+    top-card deal other than ``uniform`` and ``--face-down`` of
+    ``--tie coin``."""
     others = set().union(*_GAME_OPTIONS.values()) - _GAME_OPTIONS[args.game]
     unread = dict.fromkeys(others, f"--game {args.game}")
     if args.game == "pwar" and args.rule != "bradley-terry":
         unread.update(dict.fromkeys(("strength", "shift", "lam"),
                                     f"--rule {args.rule}"))
-    elif args.game != "classic":
+    elif args.game == "classic":
+        if args.tie == "coin":
+            unread["face_down"] = "--tie coin"
+    else:
         kind = args.strength or "identity"
         if kind != "shifted":
             unread["shift"] = f"--strength {kind}"
         if kind != "exponential":
             unread["lam"] = f"--strength {kind}"
+        if args.game == "fwar" and args.deal != "uniform":
+            unread["split"] = f"--deal {args.deal}"
     for dest, action in command.options.items():
         if dest in unread and getattr(args, dest) != action.default:
             raise ValueError(f"{action.option_strings[0]} is not read by "
@@ -172,7 +179,7 @@ def cmd_simulate(args) -> int:
             "win_freq_a": freq,
         },
     }
-    if args.bins:
+    if args.bins is not None:
         taus = [r.tau for r in records if r.winner in (WINNER_A, WINNER_B)]
         hist = histogram(taus, args.bins)
         payload["histogram"] = {
@@ -306,18 +313,16 @@ def cmd_verify(args) -> int:
 # reproduce
 # ---------------------------------------------------------------------------
 
-#: The option holding each reproduce target's trial count.
-_TRIALS_OPTION = {
-    "rounds": "trials",
-    "aces": "trials_per_cell",
-    "scaling": "trials_scaling",
-}
+#: Each reproduce target's default ``--trials``: per round-count model,
+#: per strongest-count cell, per scaling size.
+_DEFAULT_TRIALS = {"rounds": 50000, "aces": 12000, "scaling": 20000}
 
 
 def cmd_reproduce(args) -> int:
     target = "aces" if args.target == "aces-table" else args.target
-    option = _TRIALS_OPTION[target]
-    trials = getattr(args, option)
+    trials = _DEFAULT_TRIALS[target] if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError("--trials must be at least 1")
     rows = REPRODUCE_TARGETS[target](trials, args.seed, args.workers)
     for r in rows:
         status = "pass" if r["pass"] else "FAIL"
@@ -335,7 +340,7 @@ def cmd_reproduce(args) -> int:
         )
     failed = sum(not r["pass"] for r in rows)
     print(f"{len(rows) - failed}/{len(rows)} comparisons passed")
-    settings = {option: trials}
+    settings = {"trials": trials}
     if target != "scaling":
         settings["min_hand"] = REFERENCE_MIN_HAND
     _emit(
@@ -466,13 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
                   help="re-run the reference experiments and compare")
     rep.add_argument("target",
                      choices=("rounds", "aces", "aces-table", "scaling"))
-    rep.add_argument("--trials", type=int, default=50000,
-                     help="trials per round-count model")
-    rep.add_argument("--trials-per-cell", dest="trials_per_cell",
-                     type=int, default=12000,
-                     help="trials per strongest-count cell")
-    rep.add_argument("--trials-scaling", dest="trials_scaling", type=int,
-                     default=20000, help="trials per scaling size")
+    rep.add_argument("--trials", type=int, default=None,
+                     help="trials per round-count model (rounds, default "
+                          "50000), per strongest-count cell (aces, 12000) "
+                          "or per size (scaling, 20000)")
     return parser
 
 

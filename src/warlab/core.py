@@ -367,13 +367,6 @@ class RngStream:
         return result
 
 
-def bernoulli_flag(p: float, rng: RngStream) -> bool:
-    """True with probability ``p`` (``U <= p`` convention, one draw)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    return rng.random() <= p
-
-
 def deal_uniform(
     deck: Deck, size_a: int, rng: RngStream, ordered: bool = False
 ) -> GameState:

@@ -2,7 +2,9 @@
 
 Full state-space enumeration for both engines, the standard first-step
 linear systems for absorption probability and expected absorption time
-(GMRES with a sparse-LU fallback, residual-checked either way), a
+(over every state, absorbing states being identity rows whose right-hand
+side is the boundary value; GMRES with a sparse-LU fallback,
+residual-checked either way), a
 simple-random-walk oracle, one-step uniformity preservation for symmetric
 rules, the exact-rational counting identity behind it, and zero-drift
 verification of the strength martingales.
@@ -454,19 +456,23 @@ def _solve_systems(q, odd: np.ndarray, rhs: list) -> tuple[list, str, float]:
 def absorption_solve(space: StateSpace) -> SolveResult:
     """Solve the first-step equations for win probability and E[rounds].
 
-    win[i] = sum_j P(i, j) win[j] with boundary 1/0 at the absorbing
-    states, and tau[i] = 1 + sum_j P(i, j) tau[j] with tau = 0 there.
-    Every round moves |A| by one, so the transient system is
+    The unknowns are every state's value: ``(I - Q) x = b`` with ``Q``
+    the transitions out of the live (non-absorbing) states, so each
+    absorbing state is an identity row whose right-hand side is its
+    boundary value. The win system takes ``b = absorbing_win`` (1/0) and
+    the time system ``b`` = 1 at live states and 0 at absorbing ones.
+    Every round moves |A| by one, so ``I - Q`` is
     ``[[I, -Q_oe], [-Q_eo, I]]`` between the states of odd and of even
     ``hand_size``: GMRES solves each system on its odd half,
     ``(I - Q_oe Q_eo) x_o = b_o + Q_oe b_e`` with the product applied as
     two sparse products, and ``x_e = b_e + Q_eo x_o``. If either does not
-    converge or its residual on the full system exceeds
-    ``RESIDUAL_TOL``, both go through sparse LU of the full system
-    instead (LU fill makes that path slow on the largest chains). The
-    result records the path kept and the larger residual. Residuals above
-    ``RESIDUAL_TOL`` after either path raise ``ValueError``, as does a
-    transition of positive probability between two states of the same
+    converge or its residual on the whole system exceeds
+    ``RESIDUAL_TOL``, both go through sparse LU of the whole system
+    instead (LU fill makes that path slow on the largest chains). Only
+    the live states' answers are kept, so boundary values stay exact.
+    The result records the path kept and the larger residual. Residuals
+    above ``RESIDUAL_TOL`` after either path raise ``ValueError``, as does
+    a transition of positive probability between two states of the same
     hand-size parity. States from which absorption is not almost sure
     raise ``AbsorptionError`` with a recurrent-class witness.
     """
@@ -479,52 +485,33 @@ def absorption_solve(space: StateSpace) -> SolveResult:
             witness=bad,
         )
     n = space.n_states
-    transient = np.flatnonzero(~space.absorbing)
-    n_t = transient.size
+    live = ~space.absorbing
     win = space.absorbing_win.copy()
     tau = np.zeros(n)
     method, residual = "none", 0.0
-    if n_t:
-        t_index = -np.ones(n, dtype=np.int64)
-        t_index[transient] = np.arange(n_t)
-        rows = t_index[space.trans_rows]
-        keep = rows >= 0
-        rows = rows[keep]
-        cols_full = space.trans_cols[keep]
+    if live.any():
+        keep = live[space.trans_rows]
+        rows = space.trans_rows[keep]
+        cols = space.trans_cols[keep]
         probs = space.trans_probs[keep]
         odd = space.hand_size % 2 == 1
-        same = np.flatnonzero(
-            (odd[transient[rows]] == odd[cols_full]) & (probs > 0.0))
+        same = np.flatnonzero((odd[rows] == odd[cols]) & (probs > 0.0))
         if same.size:
-            i, j = transient[rows[same[0]]], cols_full[same[0]]
+            i, j = rows[same[0]], cols[same[0]]
             raise ValueError(
                 f"state {space.state_label(i)} moves to state "
                 f"{space.state_label(j)} of the same hand-size parity"
             )
-        to_transient = ~space.absorbing[cols_full]
-        q = _scipy("csr_matrix")(
-            (
-                probs[to_transient],
-                (rows[to_transient], t_index[cols_full[to_transient]]),
-            ),
-            shape=(n_t, n_t),
-        )
-        b_win = np.zeros(n_t)
-        to_abs = ~to_transient
-        np.add.at(
-            b_win,
-            rows[to_abs],
-            probs[to_abs] * space.absorbing_win[cols_full[to_abs]],
-        )
+        q = _scipy("csr_matrix")((probs, (rows, cols)), shape=(n, n))
         (x_win, x_tau), method, residual = _solve_systems(
-            q, odd[transient], [b_win, np.ones(n_t)]
+            q, odd, [space.absorbing_win, live.astype(np.float64)]
         )
         if residual > RESIDUAL_TOL:
             raise ValueError(
                 f"solver residual {residual:.3e} exceeds {RESIDUAL_TOL}"
             )
-        win[transient] = x_win
-        tau[transient] = x_tau
+        win[live] = x_win[live]
+        tau[live] = x_tau[live]
     return SolveResult(win_prob_a=win, expected_tau=tau, method=method,
                        residual=residual)
 
@@ -684,10 +671,3 @@ def strongest_deal_exact_win_prob(
     hands uniformly permuted."""
     space = enumerate_fwar(n, strength)
     return _deal_win_prob(space, absorption_solve(space), "strongest")
-
-
-def iid_deal_exact_win_prob(n: int, strength: StrengthFunction) -> float:
-    """Exact win probability under the iid fair-coin deal (hands then
-    uniformly permuted); by player exchangeability this equals 1/2."""
-    space = enumerate_fwar(n, strength)
-    return _deal_win_prob(space, absorption_solve(space), "iid")

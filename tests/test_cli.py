@@ -90,6 +90,16 @@ class TestSimulate:
             "--trials", "0",
         ]) == 2
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_nonpositive_bins_rejected(self, tmp_path, capsys, bins):
+        out = tmp_path / "o.json"
+        assert main([
+            "simulate", "--game", "pwar", "--deck", "8x1", "--trials", "5",
+            "--bins", bins, "--format", "json", "--out", str(out),
+        ]) == 2
+        assert "bin_count must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_classic_min_hand_below_one_clean_error(self, capsys):
         rc = main([
             "simulate", "--game", "classic", "--deck", "4x1",
@@ -269,11 +279,12 @@ class TestReproduce:
     def test_scaling_small(self, tmp_path):
         out = str(tmp_path / "scaling.json")
         rc = main([
-            "reproduce", "scaling", "--trials-scaling", "1500",
+            "reproduce", "scaling", "--trials", "1500",
             "--seed", "7", "--format", "json", "--out", out,
         ])
         assert rc == 0
         payload = json.loads(open(out).read())
+        assert payload["metadata"]["trials"] == 1500
         rows = payload["comparisons"]
         ratios = [
             r for r in rows if r["metric"] == "mean_tau ratio per doubling"
@@ -281,17 +292,24 @@ class TestReproduce:
         assert len(ratios) == 2
         assert all(r["pass"] for r in rows)
 
+    @pytest.mark.parametrize("target", ["rounds", "aces", "scaling"])
+    def test_zero_trials_rejected(self, capsys, target):
+        assert main(["reproduce", target, "--trials", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --trials must be at least 1\n")
+
     def test_aces_table_alias(self, tmp_path):
         """aces-table at small trials still checks the structural rows."""
         out = str(tmp_path / "aces.csv")
         rc = main([
-            "reproduce", "aces-table", "--trials-per-cell", "250",
+            "reproduce", "aces-table", "--trials", "250",
             "--seed", "9", "--out", out,
         ])
         # tolerance rows may miss at 250 trials/cell; the structural rows
         # must still be exact and the table must be written
         meta, rows = read_csv_with_metadata(out)
         assert meta["target"] == "aces"
+        assert meta["trials"] == 250
         header = rows[0]
         byname = [dict(zip(header, r)) for r in rows[1:]]
         for model, reference in (
@@ -363,8 +381,13 @@ class TestGameOptions:
          "--strength", "--rule coin"),
         (["exact", "--game", "fwar", "--n", "3", "--strength", "shifted",
           "--lam", "9"], "--lam", "--strength shifted"),
+        (["simulate", "--game", "fwar", "--n", "4", "--deal", "iid",
+          "--split", "2", "--trials", "5"], "--split", "--deal iid"),
+        (["simulate", "--game", "classic", "--deck", "4x1", "--tie", "coin",
+          "--face-down", "3", "--trials", "5"], "--face-down", "--tie coin"),
     ], ids=["exact-fwar", "exact-pwar", "simulate-classic",
-            "simulate-pwar-strength", "exact-fwar-lam"])
+            "simulate-pwar-strength", "exact-fwar-lam", "simulate-fwar-split",
+            "simulate-classic-face-down"])
     def test_unread_flag_rejected(self, tmp_path, capsys, argv, flag, by):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 2

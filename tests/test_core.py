@@ -14,7 +14,6 @@ from warlab.core import (
     DeckSpec,
     GameState,
     RngStream,
-    bernoulli_flag,
     build_deck,
     deal_uniform,
     validate_state,
@@ -163,29 +162,6 @@ class TestOwnShuffleAndSample:
             rng.sample(range(3), 4)
         with pytest.raises(ValueError):
             rng.sample(range(3), -1)
-
-
-class TestBernoulliFlag:
-    def test_p_one_always_true(self):
-        rng = RngStream(0)
-        assert all(bernoulli_flag(1.0, rng) for _ in range(1000))
-
-    def test_p_zero_always_false(self):
-        rng = RngStream(0)
-        assert not any(bernoulli_flag(0.0, rng) for _ in range(1000))
-
-    def test_half_within_binomial_ci(self):
-        """Frequency at p=0.5 within 3 sigma over 10^6 seeded draws."""
-        rng = RngStream(123)
-        n = 1_000_000
-        hits = sum(bernoulli_flag(0.5, rng) for _ in range(n))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(hits / n - 0.5) <= 3 * sigma, f"freq={hits / n}"
-
-    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
-    def test_rejects_bad_probability(self, p):
-        with pytest.raises(ValueError):
-            bernoulli_flag(p, RngStream(0))
 
 
 class TestDealUniform:

@@ -14,12 +14,12 @@ from warlab import exact
 from warlab.core import WinningRule, build_deck
 from warlab.exact import (
     AbsorptionError,
+    _deal_win_prob,
     absorption_solve,
     average_uniform_hands,
     counting_identity,
     enumerate_fwar,
     enumerate_pwar,
-    iid_deal_exact_win_prob,
     solve_rows,
     srw_oracle,
     strongest_deal_exact_win_prob,
@@ -372,13 +372,22 @@ class TestAbsorptionSolve:
         assert result.win_prob_a[mask] == pytest.approx(1.0, abs=EXACT_TOL)
 
     def test_absorbing_states_zero_consistent(self):
-        deck = build_deck((4, 1))
-        space = enumerate_pwar(deck, rule_coin())
-        result = absorption_solve(space)
-        assert result.expected_tau[0] == 0.0
-        assert result.expected_tau[15] == 0.0
-        assert result.win_prob_a[0] == 0.0
-        assert result.win_prob_a[15] == 1.0
+        """Boundary values are exact, also where the absorbing full hand
+        has odd size and so sits in the half GMRES solves (5x1, fwar
+        n=3); at fwar n=3 GMRES's own answer there is not exactly 1."""
+        for space in (
+            enumerate_pwar(build_deck((4, 1)), rule_coin()),
+            enumerate_pwar(build_deck((5, 1)), rule_powered()),
+            enumerate_fwar(3, strength_builtin("identity")),
+        ):
+            result = absorption_solve(space)
+            assert result.method == "gmres"
+            full = space.hand_size == space.n_cards
+            empty = space.hand_size == 0
+            assert np.array_equal(space.absorbing, full | empty)
+            assert np.all(result.expected_tau[space.absorbing] == 0.0)
+            assert np.all(result.win_prob_a[full] == 1.0)
+            assert np.all(result.win_prob_a[empty] == 0.0)
 
     def test_results_in_range(self):
         deck = build_deck((6, 1))
@@ -504,14 +513,13 @@ class TestSolverPaths:
         assert result.residual <= exact.RESIDUAL_TOL
         assert absorption_solve(space).method == "gmres"
         (a_mat,) = factored
+        assert a_mat.shape == (space.n_states, space.n_states)
         lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A")
         t = ~space.absorbing
-        b_win = np.zeros(space.n_states)
-        np.add.at(b_win, space.trans_rows,
-                  space.trans_probs * space.absorbing_win[space.trans_cols])
-        assert np.array_equal(result.win_prob_a[t], lu.solve(b_win[t]))
+        assert np.array_equal(result.win_prob_a[t],
+                              lu.solve(space.absorbing_win)[t])
         assert np.array_equal(result.expected_tau[t],
-                              lu.solve(np.ones(int(t.sum()))))
+                              lu.solve(t.astype(np.float64))[t])
 
     def test_fallback_when_gmres_residual_too_large(self, monkeypatch):
         """A GMRES answer that claims convergence but misses the residual
@@ -743,10 +751,9 @@ class TestStrongestDealExact:
 
     def test_iid_deal_is_fair(self):
         """Exchangeable players: iid fair-coin deal gives P(A wins)=1/2."""
-        f = strength_builtin("identity")
-        assert iid_deal_exact_win_prob(4, f) == pytest.approx(
-            0.5, abs=EXACT_TOL
-        )
+        space = enumerate_fwar(4, strength_builtin("identity"))
+        assert _deal_win_prob(space, absorption_solve(space), "iid") \
+            == pytest.approx(0.5, abs=EXACT_TOL)
 
 
 class TestMonteCarloAgreesWithExact:
