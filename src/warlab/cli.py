@@ -150,6 +150,8 @@ def _build_sim_config(args):
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.bins is not None and args.bins < 1:
+        raise ValueError("--bins: bin_count must be at least 1")
     config = _build_sim_config(args)
     built(config)  # a bad rule or strength fails here, before any fork
     records = run_trials(config, args.trials, args.seed,
@@ -274,6 +276,7 @@ def cmd_exact(args) -> int:
     rows = list(solve_rows(space, result))
     print(f"{len(rows)} states solved")
     solve = {"method": result.method, "residual": result.residual,
+             "matvecs": result.matvecs, "restarted": result.restarted,
              "states": space.n_states, "transitions": len(space.trans_rows)}
     meta = run_metadata(config=inputs, game=args.game, summary=summary,
                         solve=solve)

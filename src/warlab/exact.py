@@ -3,9 +3,9 @@
 Full state-space enumeration for both engines, the standard first-step
 linear systems for absorption probability and expected absorption time
 (over every state, absorbing states being identity rows whose right-hand
-side is the boundary value; GMRES with a sparse-LU fallback,
-residual-checked either way), a
-simple-random-walk oracle, one-step uniformity preservation for symmetric
+side is the boundary value; warlab's own restarted GMRES with a
+sparse-LU fallback, residual-checked either way), a simple-random-walk
+oracle, one-step uniformity preservation for symmetric
 rules, the exact-rational counting identity behind it, and zero-drift
 verification of the strength martingales.
 
@@ -21,14 +21,20 @@ only its size, per state for rules that read the hand); top-card states
 are sorted by an integer code and their successors found by searching
 the codes. Every round moves the first hand's size by one, so each chain
 is bipartite between odd and even hand sizes and GMRES runs on the odd
-half alone. ``scipy.sparse`` is imported on first use, so ``import
-warlab`` does not load it; its names used here (``gmres``, ``splu``, ...)
-are module attributes once loaded.
+half alone, with the two blocks between the halves built straight from
+the transition triplets. :func:`gmres` is written here over numpy
+(block Gram-Schmidt, Givens rotations in Python floats). Only sparse
+storage comes from scipy: ``scipy.sparse`` is imported on the first
+solve, so ``import warlab`` does not load it, and
+``scipy.sparse.linalg`` only when a solve falls back to sparse LU; the
+scipy names used here (``csr_matrix``, ``splu``, ...) are module
+attributes once loaded.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
@@ -47,20 +53,19 @@ MAX_FWAR_N = 7
 ROW_SUM_TOL = 1e-12
 #: Linear solves are rejected if the residual exceeds this.
 RESIDUAL_TOL = 1e-9
-#: GMRES relative tolerance (2-norm of the residual over that of the
-#: right-hand side) and cap on its restart cycles of 20 iterations each;
-#: the odd-half systems tried up to the enumeration limits converged
-#: within 4.
+#: :func:`gmres` settings: relative tolerance (2-norm of the residual
+#: over that of the right-hand side), steps per restart cycle and the
+#: default cap on cycles; the odd-half systems tried up to the
+#: enumeration limits converged within 4 cycles.
 GMRES_RTOL = 1e-14
+GMRES_RESTART = 20
 GMRES_MAXITER = 50
+_EPS = float(np.finfo(np.float64).eps)
 
 #: scipy names imported on first use, by the module that holds them.
 _SCIPY = {
     "csr_matrix": "scipy.sparse",
     "identity": "scipy.sparse",
-    "breadth_first_order": "scipy.sparse.csgraph",
-    "LinearOperator": "scipy.sparse.linalg",
-    "gmres": "scipy.sparse.linalg",
     "splu": "scipy.sparse.linalg",
 }
 
@@ -143,13 +148,17 @@ class SolveResult:
 
     ``method`` is the solver whose answers were kept ("gmres" or
     "splu"; "none" when every state is absorbing) and ``residual`` the
-    larger max-abs residual of the two systems.
+    larger max-abs residual of the two systems. ``matvecs`` counts the
+    GMRES operator applications over both systems and ``restarted`` is
+    True when a warm restart ran.
     """
 
     win_prob_a: np.ndarray
     expected_tau: np.ndarray
     method: str
     residual: float
+    matvecs: int
+    restarted: bool
 
 
 def _check_row_sums(space: StateSpace) -> None:
@@ -381,76 +390,186 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
 # ---------------------------------------------------------------------------
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+         shape: tuple):
+    """The triplets as a CSR matrix. A stable sort by row, linear when
+    ``rows`` already ascend as the enumerators emit them, keeps each
+    row's triplets in their order; a repeated (row, col) pair adds up in
+    products."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return _scipy("csr_matrix")(
+        (values[order], cols[order].astype(np.int32), indptr), shape=shape
+    )
+
+
 def _unreachable_states(space: StateSpace) -> list[int]:
     """States that cannot reach absorption with positive probability.
 
-    A breadth-first search over the reversed p > 0 transition graph, from
-    a virtual source (index ``n_states``) joined to every absorbing state;
-    the states it does not reach are returned in ascending order.
+    Grows the set of states that can, starting from the absorbing ones:
+    each pass adds every state with a p > 0 transition into the set (one
+    sparse product), until a pass adds none. The states left out are
+    returned in ascending order.
     """
     n = space.n_states
     keep = space.trans_probs > 0.0
-    absorbing = np.flatnonzero(space.absorbing)
-    tails = np.concatenate((space.trans_cols[keep],
-                            np.full(absorbing.size, n)))
-    heads = np.concatenate((space.trans_rows[keep], absorbing))
-    graph = _scipy("csr_matrix")(
-        (np.ones(tails.size), (tails, heads)), shape=(n + 1, n + 1)
-    )
-    reached = np.zeros(n + 1, dtype=bool)
-    reached[_scipy("breadth_first_order")(
-        graph, n, directed=True, return_predecessors=False)] = True
-    return [int(i) for i in np.flatnonzero(~reached[:n])]
+    graph = _csr(space.trans_rows[keep], space.trans_cols[keep],
+                 space.trans_probs[keep], (n, n))
+    reached = space.absorbing.copy()
+    while True:
+        grown = reached | (graph @ reached > 0.0)
+        if np.array_equal(grown, reached):
+            return [int(i) for i in np.flatnonzero(~reached)]
+        reached = grown
 
 
-def _max_residual(a_mat, x: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a_mat @ x - b), initial=0.0))
+def gmres(apply, b: np.ndarray, x0: Optional[np.ndarray] = None, *,
+          maxiter: int = GMRES_MAXITER) -> tuple[np.ndarray, int]:
+    """Solve ``apply(x) = b`` by restarted GMRES (Saad and Schultz, SIAM
+    J. Sci. Stat. Comput. 7, 1986), ``apply`` being the operator's
+    product with a vector.
 
-
-def _solve_systems(q, odd: np.ndarray, rhs: list) -> tuple[list, str, float]:
-    """Solve ``(I - q) x = b`` for each ``b`` in ``rhs``, where ``q``
-    only joins the states ``odd`` marks to the others.
-
-    GMRES runs on the odd half, as :func:`absorption_solve` sets out. Its
-    answers are kept only when every system converged (at the first try
-    or after one warm restart) and each max-abs residual of the full
-    system ``I - q`` is within ``RESIDUAL_TOL``; otherwise one sparse-LU
-    factorization of the full system solves them all. Returns the
-    solutions, the method kept and the largest residual.
+    Each cycle of at most ``GMRES_RESTART`` steps grows an orthonormal
+    Krylov basis from the residual. A step is one ``apply`` and then
+    classical Gram-Schmidt run twice over the whole basis block, two
+    products with the block each time. Givens rotations reduce each new
+    Hessenberg column in Python floats, so the rotated right-hand side
+    gives the residual norm at every step. The cycle ends when that norm
+    reaches the tolerance, when the new direction vanishes (a breakdown:
+    the basis then holds the solution) or after ``GMRES_RESTART`` steps;
+    it then solves its small triangular system and recomputes the
+    residual.
+    ``maxiter`` caps the cycles. Returns ``(x, info)``: ``info`` is 0
+    when ``|b - apply(x)| <= GMRES_RTOL |b|`` (2-norms), else 1. A zero
+    ``b`` returns zeros without calling ``apply``.
     """
-    gmres, splu = _scipy("gmres"), _scipy("splu")
-    a_mat = _scipy("identity")(q.shape[0], format="csr") - q
-    even = ~odd
-    q_oe, q_eo = q[odd][:, even], q[even][:, odd]
-    n_odd = q_oe.shape[0]
-    s_mat = _scipy("LinearOperator")(
-        (n_odd, n_odd), matvec=lambda v: v - q_oe @ (q_eo @ v),
-        dtype=np.float64,
-    )
-    method = "gmres"
-    xs = []
+    n = b.size
+    b_norm = math.sqrt(b @ b)
+    if b_norm == 0.0:
+        return np.zeros(n), 0
+    tol = GMRES_RTOL * b_norm
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b - apply(x) if x.any() else b.copy()
+    r_norm = math.sqrt(r @ r)
+    m = min(GMRES_RESTART, n)
+    basis = np.empty((m + 1, n))
+    for _ in range(maxiter):
+        if r_norm <= tol:
+            return x, 0
+        np.multiply(r, 1.0 / r_norm, out=basis[0])
+        g = [r_norm]
+        cos, sin, cols = [], [], []
+        for j in range(m):
+            w = apply(basis[j])
+            w_norm = math.sqrt(w @ w)
+            block = basis[:j + 1]
+            h = block @ w
+            w -= h @ block
+            again = block @ w
+            w -= again @ block
+            col = (h + again).tolist()
+            h_next = math.sqrt(w @ w)
+            breakdown = h_next <= _EPS * w_norm
+            if breakdown:
+                h_next = 0.0
+            else:
+                np.multiply(w, 1.0 / h_next, out=basis[j + 1])
+            for i in range(j):
+                c, s = cos[i], sin[i]
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s * col[i])
+            # A zero pivot (a singular system) drops the step: c = s = 0
+            # zeroes its component of the solution.
+            rho = math.hypot(col[j], h_next) or 1.0
+            c, s = col[j] / rho, h_next / rho
+            col[j] = rho
+            cos.append(c)
+            sin.append(s)
+            cols.append(col)
+            g.append(-s * g[j])
+            g[j] *= c
+            if abs(g[j + 1]) <= tol or breakdown:
+                break
+        k = len(cols)
+        tri = np.zeros((k, k))
+        for i, col in enumerate(cols):
+            tri[:i + 1, i] = col
+        x += np.linalg.solve(tri, g[:k]) @ basis[:k]
+        r = b - apply(x)
+        r_norm = math.sqrt(r @ r)
+        if breakdown:
+            break
+    return x, int(r_norm > tol)
+
+
+def _solve_systems(rows: np.ndarray, cols: np.ndarray, probs: np.ndarray,
+                   odd: np.ndarray, rhs: list) -> tuple:
+    """Solve ``(I - q) x = b`` for each ``b`` in ``rhs``, where ``q`` is
+    the triplets ``rows, cols, probs``, each joining a state that ``odd``
+    marks to one it does not.
+
+    ``q_oe`` and ``q_eo`` are built from the triplets, with each state
+    numbered within its half, and GMRES runs on the odd half, as
+    :func:`absorption_solve` sets out. Its answers are kept only when
+    every system converged (at the first try or after one warm restart)
+    and each max-abs residual of the whole system, computed from the two
+    blocks, is within ``RESIDUAL_TOL``; otherwise one sparse-LU
+    factorization of the whole ``I - q`` solves them all. Returns the
+    solutions, the method kept, the largest residual, the operator
+    applications over every system and whether a warm restart ran.
+    """
+    n = odd.size
+    odd_ids, even_ids = np.flatnonzero(odd), np.flatnonzero(~odd)
+    half = np.empty(n, dtype=np.int32)
+    half[odd_ids] = np.arange(odd_ids.size)
+    half[even_ids] = np.arange(even_ids.size)
+    from_odd = odd[rows]
+    from_even = ~from_odd
+    q_oe = _csr(half[rows[from_odd]], half[cols[from_odd]], probs[from_odd],
+                (odd_ids.size, even_ids.size))
+    q_eo = _csr(half[rows[from_even]], half[cols[from_even]],
+                probs[from_even], (even_ids.size, odd_ids.size))
+    matvecs = 0
+
+    def s_apply(v):
+        nonlocal matvecs
+        matvecs += 1
+        return v - q_oe @ (q_eo @ v)
+
+    def residual(x, b):
+        x_odd, x_even = x[odd_ids], x[even_ids]
+        r_odd = x_odd - q_oe @ x_even - b[odd_ids]
+        r_even = x_even - q_eo @ x_odd - b[even_ids]
+        return max(float(np.max(np.abs(r_odd), initial=0.0)),
+                   float(np.max(np.abs(r_even), initial=0.0)))
+
+    method, restarted, xs, gaps = "gmres", False, [], []
     for b in rhs:
-        c = b[odd] + q_oe @ b[even]
-        x_odd, info = gmres(s_mat, c, rtol=GMRES_RTOL, atol=0.0,
-                            maxiter=GMRES_MAXITER)
+        b_even = b[even_ids]
+        c = b[odd_ids] + q_oe @ b_even
+        x_odd, info = gmres(s_apply, c)
         if info != 0:
-            # An exact Arnoldi breakdown can end GMRES with a residual
-            # a few times GMRES_RTOL |b| when |b| is small (the 14-card
-            # coin win system); one warm restart from that answer
-            # converges.
-            x_odd, info = gmres(s_mat, c, x0=x_odd, rtol=GMRES_RTOL,
-                                atol=0.0, maxiter=GMRES_MAXITER)
+            # A breakdown can end GMRES with a residual a few times
+            # GMRES_RTOL |b| when |b| is small; one warm restart from
+            # that answer converges.
+            restarted = True
+            x_odd, info = gmres(s_apply, c, x0=x_odd)
         x = np.empty_like(b)
-        x[odd] = x_odd
-        x[even] = b[even] + q_eo @ x_odd
-        if info != 0 or _max_residual(a_mat, x, b) > RESIDUAL_TOL:
-            lu = splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        x[odd_ids] = x_odd
+        x[even_ids] = b_even + q_eo @ x_odd
+        gap = residual(x, b)
+        if info != 0 or gap > RESIDUAL_TOL:
+            q = _csr(rows, cols, probs, (n, n))
+            a_mat = _scipy("identity")(n, format="csr") - q
+            lu = _scipy("splu")(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
             xs = [lu.solve(v) for v in rhs]
+            gaps = [residual(x, b) for x, b in zip(xs, rhs)]
             method = "splu"
             break
         xs.append(x)
-    residual = max(_max_residual(a_mat, x, b) for x, b in zip(xs, rhs))
-    return xs, method, residual
+        gaps.append(gap)
+    return xs, method, max(gaps), matvecs, restarted
 
 
 def absorption_solve(space: StateSpace) -> SolveResult:
@@ -463,18 +582,20 @@ def absorption_solve(space: StateSpace) -> SolveResult:
     the time system ``b`` = 1 at live states and 0 at absorbing ones.
     Every round moves |A| by one, so ``I - Q`` is
     ``[[I, -Q_oe], [-Q_eo, I]]`` between the states of odd and of even
-    ``hand_size``: GMRES solves each system on its odd half,
+    ``hand_size``: :func:`gmres` solves each system on its odd half,
     ``(I - Q_oe Q_eo) x_o = b_o + Q_oe b_e`` with the product applied as
     two sparse products, and ``x_e = b_e + Q_eo x_o``. If either does not
     converge or its residual on the whole system exceeds
     ``RESIDUAL_TOL``, both go through sparse LU of the whole system
-    instead (LU fill makes that path slow on the largest chains). Only
-    the live states' answers are kept, so boundary values stay exact.
-    The result records the path kept and the larger residual. Residuals
-    above ``RESIDUAL_TOL`` after either path raise ``ValueError``, as does
-    a transition of positive probability between two states of the same
-    hand-size parity. States from which absorption is not almost sure
-    raise ``AbsorptionError`` with a recurrent-class witness.
+    instead (LU fill makes that path slow on the largest chains); only
+    then is the whole ``I - Q`` built. Only the live states' answers are
+    kept, so boundary values stay exact. The result records the path
+    kept, the larger residual, the GMRES operator applications and
+    whether a warm restart ran. Residuals above ``RESIDUAL_TOL`` after
+    either path raise ``ValueError``, as does a transition of positive
+    probability between two states of the same hand-size parity. States
+    from which absorption is not almost sure raise ``AbsorptionError``
+    with a recurrent-class witness.
     """
     bad = _unreachable_states(space)
     if bad:
@@ -484,28 +605,27 @@ def absorption_solve(space: StateSpace) -> SolveResult:
             f"{labels}",
             witness=bad,
         )
-    n = space.n_states
     live = ~space.absorbing
     win = space.absorbing_win.copy()
-    tau = np.zeros(n)
-    method, residual = "none", 0.0
+    tau = np.zeros(space.n_states)
+    method, residual, matvecs, restarted = "none", 0.0, 0, False
     if live.any():
-        keep = live[space.trans_rows]
-        rows = space.trans_rows[keep]
-        cols = space.trans_cols[keep]
-        probs = space.trans_probs[keep]
+        rows, cols = space.trans_rows, space.trans_cols
         odd = space.hand_size % 2 == 1
-        same = np.flatnonzero((odd[rows] == odd[cols]) & (probs > 0.0))
-        if same.size:
-            i, j = rows[same[0]], cols[same[0]]
+        from_live = live[rows]
+        same = from_live & (odd[rows] == odd[cols])
+        step = np.flatnonzero(same & (space.trans_probs > 0.0))
+        if step.size:
+            i, j = rows[step[0]], cols[step[0]]
             raise ValueError(
                 f"state {space.state_label(i)} moves to state "
                 f"{space.state_label(j)} of the same hand-size parity"
             )
-        q = _scipy("csr_matrix")((probs, (rows, cols)), shape=(n, n))
-        (x_win, x_tau), method, residual = _solve_systems(
-            q, odd, [space.absorbing_win, live.astype(np.float64)]
-        )
+        keep = from_live & ~same
+        rhs = [space.absorbing_win, live.astype(np.float64)]
+        (x_win, x_tau), method, residual, matvecs, restarted = \
+            _solve_systems(rows[keep], cols[keep], space.trans_probs[keep],
+                           odd, rhs)
         if residual > RESIDUAL_TOL:
             raise ValueError(
                 f"solver residual {residual:.3e} exceeds {RESIDUAL_TOL}"
@@ -513,7 +633,8 @@ def absorption_solve(space: StateSpace) -> SolveResult:
         win[live] = x_win[live]
         tau[live] = x_tau[live]
     return SolveResult(win_prob_a=win, expected_tau=tau, method=method,
-                       residual=residual)
+                       residual=residual, matvecs=matvecs,
+                       restarted=restarted)
 
 
 def solve_rows(space: StateSpace, result: SolveResult) -> Iterator[dict]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import warlab
-from warlab import exact
+from warlab import cli, exact
 from warlab.cli import main
 from warlab.rules import strength_builtin
 from warlab.stats import read_csv_with_metadata
@@ -100,6 +100,23 @@ class TestSimulate:
         assert "bin_count must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_bins_rejected_before_any_trial(self, tmp_path, capsys,
+                                                monkeypatch):
+        """A bad --bins stops the run before a trial is played, not after
+        the stats line is printed."""
+        played = []
+        monkeypatch.setattr(cli, "run_trials",
+                            lambda *args, **kwargs: played.append(args))
+        out = tmp_path / "o.csv"
+        assert main([
+            "simulate", "--game", "pwar", "--deck", "8x1", "--trials", "5",
+            "--bins", "0", "--out", str(out),
+        ]) == 2
+        assert played == []
+        assert "trials" not in capsys.readouterr().out
+        assert not out.exists()
+        assert not Path(str(out) + ".hist.csv").exists()
+
     def test_classic_min_hand_below_one_clean_error(self, capsys):
         rc = main([
             "simulate", "--game", "classic", "--deck", "4x1",
@@ -151,6 +168,10 @@ class TestExact:
         assert meta == json.loads(json_out.read_text())["metadata"]
         assert meta["solve"]["states"] == states
         assert meta["solve"]["transitions"] == transitions
+        assert meta["solve"]["method"] == "gmres"
+        # GMRES ran on both systems, one operator application at least.
+        assert meta["solve"]["matvecs"] >= 2
+        assert meta["solve"]["restarted"] is False
 
     def test_fwar_strongest_comparison(self):
         rc = main([
@@ -431,7 +452,8 @@ class TestEntryPoints:
         """Only a solve loads scipy.sparse; ``import warlab`` does not."""
         proc = _child("-c", (
             "import sys, warlab; print('scipy.sparse' in sys.modules); "
-            "warlab.exact.gmres; print('scipy.sparse' in sys.modules)"))
+            "warlab.exact.csr_matrix; "
+            "print('scipy.sparse' in sys.modules)"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
 

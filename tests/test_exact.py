@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -581,6 +585,131 @@ class TestSolverPaths:
         assert strongest_deal_exact_win_prob(n, f) == pytest.approx(
             strongest_deal_win_prob(f, n), abs=EXACT_TOL
         )
+
+
+def _python(code, **env):
+    """Runs ``code`` in a fresh interpreter with ``env`` added to the
+    environment; the child finds the package under test through
+    PYTHONPATH, as pytest's own ``pythonpath`` is not inherited."""
+    src = str(Path(exact.__file__).resolve().parent.parent)
+    child_env = dict(os.environ, **env)
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, child_env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env)
+
+
+def _counting(a, calls):
+    """The product with ``a``, appending to ``calls`` on every use."""
+    def apply(v):
+        calls.append(1)
+        return a @ v
+    return apply
+
+
+class TestGmres:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_dense_systems_match_numpy(self, n, seed):
+        """Strictly diagonally dominant nonsymmetric systems (singular
+        values within [n, 3n]) agree with a dense solve."""
+        rng = np.random.default_rng(seed)
+        a = 2 * n * np.eye(n) + rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.standard_normal(n)
+        x, info = exact.gmres(lambda v: a @ v, b)
+        ref = np.linalg.solve(a, b)
+        assert info == 0
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("x0", [None, np.ones(5)], ids=["cold", "warm"])
+    def test_zero_rhs_returns_zeros_unapplied(self, x0):
+        calls = []
+        x, info = exact.gmres(_counting(np.eye(5), calls), np.zeros(5),
+                              x0=x0)
+        assert info == 0
+        assert np.array_equal(x, np.zeros(5))
+        assert calls == []
+
+    def test_exact_breakdown_converges(self):
+        """b is an eigenvector, so the first step's new direction is
+        exactly zero: the cycle stops there with the solution, after one
+        product for the step and one for the residual."""
+        a = np.triu(np.random.default_rng(7).uniform(-1.0, 1.0, (6, 6)))
+        a += 4.0 * np.eye(6)
+        b = np.zeros(6)
+        b[0] = 3.0
+        calls = []
+        x, info = exact.gmres(_counting(a, calls), b)
+        assert info == 0
+        assert len(calls) == 2
+        assert np.linalg.norm(a @ x - b) <= exact.GMRES_RTOL * 3.0
+
+    def test_one_cycle_short_of_a_hard_system(self):
+        """A 200-state system with condition number 1000 needs more than
+        one cycle of 20 steps to reach GMRES_RTOL, and gets there with
+        the default cap."""
+        a = np.diag(np.linspace(1.0, 1000.0, 200))
+        b = np.ones(200)
+        _, info = exact.gmres(lambda v: a @ v, b, maxiter=1)
+        assert info != 0
+        x, info = exact.gmres(lambda v: a @ v, b)
+        assert info == 0
+        assert np.max(np.abs(x - b / np.diag(a))) <= 1e-12
+
+    def test_solve_counts_applications_and_restarts(self, monkeypatch):
+        """A warm restart is reported, and its operator applications
+        counted: restarting from a converged answer costs one, for its
+        residual, per system."""
+        space = enumerate_pwar(build_deck((6, 1)), rule_powered())
+        plain = absorption_solve(space)
+        assert (plain.method, plain.restarted) == ("gmres", False)
+
+        def first_call_stops_short(apply, b, x0=None, **kwargs):
+            x, info = _GMRES(apply, b, x0=x0, **kwargs)
+            return x, (1 if x0 is None else info)
+
+        monkeypatch.setattr(exact, "gmres", first_call_stops_short)
+        result = absorption_solve(space)
+        assert (result.method, result.restarted) == ("gmres", True)
+        assert result.matvecs == plain.matvecs + 2
+
+    def test_solve_leaves_scipy_sparse_linalg_unloaded(self):
+        """A solve that stays on GMRES imports no scipy solver."""
+        proc = _python(
+            "import sys\n"
+            "from warlab.core import build_deck\n"
+            "from warlab.exact import absorption_solve, enumerate_pwar\n"
+            "from warlab.rules import rule_coin\n"
+            "space = enumerate_pwar(build_deck((6, 1)), rule_coin())\n"
+            "print(absorption_solve(space).method, "
+            "'scipy.sparse.linalg' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["gmres", "False"]
+
+    def test_limits_stay_on_gmres_with_one_blas_thread(self):
+        """GMRES_RTOL sits at the rounding floor, so the sums' order can
+        decide convergence: both limit chains must converge with one
+        OpenBLAS thread as well as with the suite's own setting."""
+        proc = _python(
+            "from warlab.core import build_deck\n"
+            "from warlab.exact import (MAX_FWAR_N, MAX_PWAR_CARDS,\n"
+            "    absorption_solve, enumerate_fwar, enumerate_pwar)\n"
+            "from warlab.rules import rule_coin, strength_builtin\n"
+            "for space in (\n"
+            "        enumerate_pwar(build_deck((MAX_PWAR_CARDS, 1)),\n"
+            "                       rule_coin()),\n"
+            "        enumerate_fwar(MAX_FWAR_N,\n"
+            "                       strength_builtin('identity'))):\n"
+            "    result = absorption_solve(space)\n"
+            "    print(result.method, result.residual)\n",
+            OPENBLAS_NUM_THREADS="1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert [method for method, _ in rows] == ["gmres", "gmres"]
+        assert all(float(r) <= exact.RESIDUAL_TOL for _, r in rows)
 
 
 class TestSrwOracle:
