@@ -11,8 +11,8 @@ verification of the strength martingales.
 
 State indexing is canonical so results reproduce across runs and platforms:
 random-draw states are the bitmask of the first player's card ids (the mask
-is the index); top-card states are the lexicographically sorted list of
-ordered hand pairs.
+is the index); top-card states are rows of card ids, the first hand then
+the second, sorted as the ordered hand pairs sort.
 
 Both chains are built with numpy. Random-draw transitions come one hand
 size at a time from a table of ``rule.eval`` over card pairs (once for
@@ -37,7 +37,7 @@ import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import permutations
 from math import comb, factorial
 from typing import Iterator, Optional
 
@@ -105,14 +105,15 @@ class StateSpace:
 
     ``trans_rows/cols/probs`` are aligned triplet arrays; ``absorbing``
     flags absorbing states and ``absorbing_win`` is 1.0 where the first
-    player has won. ``states`` holds bitmask ints (random-draw flavor) or
-    ``(hand_a, hand_b)`` tuple pairs (top-card flavor); ``hand_size``
-    holds |A| of each state (int64). Every round moves |A| by exactly
-    one, which :func:`absorption_solve` relies on.
+    player has won. ``states`` is an int64 array: the masks (random-draw
+    flavor) or one row of card ids per state, hand A front to back then
+    hand B, split at ``hand_size`` (|A| of each state, int64; top-card
+    flavor). Every round moves |A| by exactly one, which
+    :func:`absorption_solve` relies on.
     """
 
     flavor: str
-    states: list
+    states: np.ndarray
     trans_rows: np.ndarray
     trans_cols: np.ndarray
     trans_probs: np.ndarray
@@ -125,20 +126,16 @@ class StateSpace:
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
-    def transitions(self) -> Iterator[tuple]:
-        """Sparse (state_index, next_state_index, probability) triplets."""
-        return zip(
-            self.trans_rows.tolist(),
-            self.trans_cols.tolist(),
-            self.trans_probs.tolist(),
-        )
-
     def state_label(self, i: int) -> str:
         if self.flavor == "pwar_subsets":
-            return str(self.states[i])
-        a, b = self.states[i]
-        return "a:" + ",".join(map(str, a)) + ";b:" + ",".join(map(str, b))
+            return str(int(self.states[i]))
+        return _hands_label(self.states[i].tolist(), int(self.hand_size[i]))
+
+
+def _hands_label(cards: list, k: int) -> str:
+    """``a:..;b:..`` label of a top-card state's cards split at ``k``."""
+    return ("a:" + ",".join(map(str, cards[:k]))
+            + ";b:" + ",".join(map(str, cards[k:])))
 
 
 @dataclass
@@ -161,7 +158,17 @@ class SolveResult:
     restarted: bool
 
 
-def _check_row_sums(space: StateSpace) -> None:
+def _check_transitions(space: StateSpace) -> None:
+    """Reject, naming the state, a probability below 0 or above 1 +
+    ``ROW_SUM_TOL`` or a non-absorbing row off 1 by more than that."""
+    probs = space.trans_probs
+    bad = np.flatnonzero((probs < 0.0) | (probs > 1.0 + ROW_SUM_TOL))
+    if bad.size:
+        t = bad[0]
+        raise ValueError(
+            f"transition probability {probs[t].item()!r} from state "
+            f"{space.state_label(space.trans_rows[t])} lies outside [0, 1]"
+        )
     sums = np.zeros(space.n_states)
     np.add.at(sums, space.trans_rows, space.trans_probs)
     bad = np.flatnonzero(
@@ -171,7 +178,7 @@ def _check_row_sums(space: StateSpace) -> None:
         i = int(bad[0])
         raise ValueError(
             f"transition probabilities from state {space.state_label(i)} "
-            f"sum to {sums[i]!r}, not 1"
+            f"sum to {sums[i].item()!r}, not 1"
         )
 
 
@@ -292,7 +299,7 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
                                                cards_table)
     space = StateSpace(
         flavor="pwar_subsets",
-        states=list(range(n_states)),
+        states=np.arange(n_states, dtype=np.int64),
         trans_rows=np.repeat(np.arange(1, full, dtype=np.int64), d),
         trans_cols=cols[1:full].ravel(),
         trans_probs=probs[1:full].ravel(),
@@ -301,7 +308,7 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
         n_cards=d,
         hand_size=sizes,
     )
-    _check_row_sums(space)
+    _check_transitions(space)
     return space
 
 
@@ -328,8 +335,7 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
     if n < 1:
         raise ValueError("n must be positive")
     fs = np.asarray(strength.table(n))
-    perms = list(permutations(range(n)))
-    digits = np.array(perms, dtype=np.int64) + 1
+    digits = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
     base = n + 1
     # weight[i]: place value of digit i of a hand (digit 0 the front card).
     weight = base ** np.arange(n, -1, -1, dtype=np.int64)[1:]
@@ -340,18 +346,15 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
     ])
     order = np.argsort(codes)
     codes = codes[order]
-    hand_size = np.repeat(np.arange(n + 1, dtype=np.int64), len(perms))[order]
-    perm_of = np.tile(np.arange(len(perms)), n + 1)[order]
-    states = [(perms[p][:k], perms[p][k:])
-              for p, k in zip(perm_of.tolist(), hand_size.tolist())]
+    hand_size = np.repeat(np.arange(n + 1, dtype=np.int64), len(digits))[order]
+    states = np.tile(digits - 1, (n + 1, 1))[order]
 
     absorbing = (hand_size == 0) | (hand_size == n)
     transient = np.flatnonzero(~absorbing)
     k = hand_size[transient]
     m = n - k
-    row = digits[perm_of[transient]]
-    da = row[:, 0]
-    db = row[np.arange(k.size), k]
+    da = states[transient, 0] + 1
+    db = states[transient, k] + 1
     a_code, b_code = np.divmod(codes[transient], shift)
     a_tail = (a_code - da * weight[0]) * base
     b_tail = (b_code - db * weight[0]) * base
@@ -381,7 +384,7 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
         n_cards=n,
         hand_size=hand_size,
     )
-    _check_row_sums(space)
+    _check_transitions(space)
     return space
 
 
@@ -639,13 +642,13 @@ def absorption_solve(space: StateSpace) -> SolveResult:
 
 def solve_rows(space: StateSpace, result: SolveResult) -> Iterator[dict]:
     """Per-state export rows: index, canonical label, win prob, E[tau]."""
-    for i in range(space.n_states):
-        yield {
-            "state_index": i,
-            "state": space.state_label(i),
-            "win_prob_a": float(result.win_prob_a[i]),
-            "expected_tau": float(result.expected_tau[i]),
-        }
+    states = space.states.tolist()
+    labels = (map(str, states) if space.flavor == "pwar_subsets"
+              else map(_hands_label, states, space.hand_size.tolist()))
+    win, tau = result.win_prob_a.tolist(), result.expected_tau.tolist()
+    for i, label in enumerate(labels):
+        yield {"state_index": i, "state": label, "win_prob_a": win[i],
+               "expected_tau": tau[i]}
 
 
 # ---------------------------------------------------------------------------
@@ -746,13 +749,8 @@ def verify_martingales(
     if space.flavor != "fwar_ordered":
         raise ValueError("martingale drifts need a top-card space")
     fs = np.asarray(strength.table(space.n_cards))
-    n = space.n_cards
-    # Each state's cards as one row: hand a front to back, then hand b.
-    hands = chain.from_iterable(space.states)
-    cards = np.fromiter(chain.from_iterable(hands), dtype=np.int64,
-                        count=space.n_states * n)
     live = ~space.absorbing
-    f = fs[cards.reshape(space.n_states, n)[live]]
+    f = fs[space.states[live]]
     k = space.hand_size[live]
     rows = np.arange(k.size)
     fa = f[:, 0]
@@ -779,7 +777,8 @@ def _deal_win_prob(space: StateSpace, result: SolveResult,
     fact = np.array([factorial(i) for i in range(n + 1)], dtype=np.float64)
     weight = 0.5 ** (n - 1 if strongest else n) / (fact[k] * fact[n - k])
     if strongest:
-        weight[[n - 1 not in a for a, _ in space.states]] = 0.0
+        # The strongest card is in hand A when it sits before |A|.
+        weight[np.argmax(space.states == n - 1, axis=1) >= k] = 0.0
     return float(weight @ result.win_prob_a)
 
 

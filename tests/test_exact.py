@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from warlab import exact
+from warlab.cli import main
 from warlab.core import WinningRule, build_deck
 from warlab.exact import (
     AbsorptionError,
@@ -39,6 +40,7 @@ from warlab.rules import (
     rule_powered,
     strength_builtin,
 )
+from warlab.stats import read_csv_with_metadata
 
 EXACT_TOL = 1e-9
 
@@ -68,7 +70,8 @@ class TestEnumeratePwar:
         mask = _mask(deck, {1, 2})
         up = sum(
             p
-            for i, j, p in space.transitions
+            for i, j, p in zip(space.trans_rows, space.trans_cols,
+                               space.trans_probs)
             if i == mask and bin(j).count("1") == 3
         )
         assert up == pytest.approx(0.5, abs=1e-15)
@@ -87,6 +90,17 @@ class TestEnumeratePwar:
     def test_rejects_large_deck(self):
         with pytest.raises(ValueError):
             enumerate_pwar(build_deck((15, 1)), rule_coin())
+
+    def test_rejects_probabilities_outside_unit_interval(self):
+        """A rule returning 1.5 and -0.5 keeps every row summing to 1 but
+        gives negative masses: enumeration names the state and value."""
+        rule = WinningRule(
+            name="overshoot", reads="cards",
+            eval=lambda a, b, s, deck: 1.5 if a.rank > b.rank else -0.5,
+        )
+        with pytest.raises(ValueError, match=r"probability -0\.1666+ from "
+                           r"state 1 lies outside \[0, 1\]"):
+            enumerate_pwar(build_deck((4, 1)), rule)
 
 
 def _reference_successors(mask, deck, rule):
@@ -162,7 +176,8 @@ def _reference_unreachable(space):
     """Reference for the graph pre-check: a depth-first walk back from
     the absorbing states along transitions of positive probability."""
     incoming = [[] for _ in range(space.n_states)]
-    for r, c, p in space.transitions:
+    for r, c, p in zip(space.trans_rows.tolist(), space.trans_cols.tolist(),
+                       space.trans_probs.tolist()):
         if p > 0.0:
             incoming[c].append(r)
     seen = space.absorbing.copy()
@@ -277,13 +292,21 @@ def _reference_fwar(n, strength):
             np.asarray(probs, dtype=np.float64), absorbing, win)
 
 
+def _hands(space):
+    """Each top-card state as its ``(a, b)`` hand tuples: the state's row
+    of card ids split at its ``hand_size``."""
+    return [(tuple(row[:k]), tuple(row[k:]))
+            for row, k in zip(space.states.tolist(),
+                              space.hand_size.tolist())]
+
+
 def _reference_drifts(space, strength):
     """Reference for the vectorised martingale check: the per-state
     loop."""
     fs = strength.table(space.n_cards)
     drift_m = 0.0
     drift_q = 0.0
-    for i, (a, b) in enumerate(space.states):
+    for i, (a, b) in enumerate(_hands(space)):
         if space.absorbing[i]:
             continue
         fa = fs[a[0]]
@@ -311,7 +334,9 @@ class TestEnumerateFwar:
         f = _FWAR_STRENGTHS[kind](n)
         space = enumerate_fwar(n, f)
         states, rows, cols, probs, absorbing, win = _reference_fwar(n, f)
-        assert space.states == states
+        assert space.states.dtype == np.int64
+        assert np.array_equal(space.states,
+                              np.array([a + b for a, b in states]))
         assert np.array_equal(space.trans_rows, rows)
         assert np.array_equal(space.trans_cols, cols)
         assert np.array_equal(space.trans_probs, probs)
@@ -337,11 +362,13 @@ class TestEnumerateFwar:
         """n=2, hands (2) vs (1), identity strengths: P(absorb to A) =
         2/3 on the next step."""
         space = enumerate_fwar(2, strength_builtin("identity"))
-        idx = space.states.index(((1,), (0,)))
+        hands = _hands(space)
+        idx = hands.index(((1,), (0,)))
         win_mass = sum(
             p
-            for i, j, p in space.transitions
-            if i == idx and not space.states[j][1]
+            for i, j, p in zip(space.trans_rows, space.trans_cols,
+                               space.trans_probs)
+            if i == idx and not hands[j][1]
         )
         assert win_mass == pytest.approx(2 / 3, abs=1e-15)
 
@@ -446,6 +473,23 @@ class TestAbsorptionSolve:
         assert len(rows) == 4
         assert rows[3]["win_prob_a"] == 1.0
         assert {r["state"] for r in rows} == {"0", "1", "2", "3"}
+
+    def test_top_card_labels(self, tmp_path):
+        """fwar n=3: each label lists hand a, then hand b, front to back,
+        in state order, in ``solve_rows`` and in the CLI's CSV."""
+        f = strength_builtin("identity")
+        space = enumerate_fwar(3, f)
+        expected = [
+            "a:" + ",".join(map(str, a)) + ";b:" + ",".join(map(str, b))
+            for a, b in _reference_fwar(3, f)[0]
+        ]
+        rows = list(solve_rows(space, absorption_solve(space)))
+        assert [r["state"] for r in rows] == expected
+        out = tmp_path / "f3.csv"
+        assert main(["exact", "--game", "fwar", "--n", "3",
+                     "--format", "csv", "--out", str(out)]) == 0
+        _, (header, *body) = read_csv_with_metadata(str(out))
+        assert [line[header.index("state")] for line in body] == expected
 
 
 _GMRES = exact.gmres
@@ -915,7 +959,7 @@ class TestMonteCarloAgreesWithExact:
         space = enumerate_fwar(4, f)
         result = absorption_solve(space)
         starts = [
-            i for i, (a, b) in enumerate(space.states)
+            i for i, (a, b) in enumerate(_hands(space))
             if len(a) == 2 and len(b) == 2
         ]
         exact_win = float(np.mean([result.win_prob_a[i] for i in starts]))
@@ -928,3 +972,13 @@ class TestMonteCarloAgreesWithExact:
         sem = np.std(taus, ddof=1) / math.sqrt(n)
         assert abs(freq - exact_win) <= 3 * math.sqrt(0.25 / n)
         assert abs(mean - exact_tau) <= 3 * sem
+
+
+@pytest.mark.parametrize("demo", ["demo_exact_solver.py",
+                                  "demo_martingale_war.py"])
+def test_state_space_demo_runs(demo):
+    """The demos that read ``StateSpace`` run to completion."""
+    path = Path(__file__).resolve().parent.parent / "demos" / demo
+    proc = _python(f"import runpy; runpy.run_path({str(path)!r}, "
+                   "run_name='__main__')")
+    assert proc.returncode == 0, proc.stderr
