@@ -150,6 +150,8 @@ def _build_sim_config(args):
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.max_rounds < 1:
+        raise ValueError("--max-rounds must be at least 1")
     if args.bins is not None and args.bins < 1:
         raise ValueError("--bins: bin_count must be at least 1")
     config = _build_sim_config(args)
@@ -276,8 +278,8 @@ def cmd_exact(args) -> int:
     rows = list(solve_rows(space, result))
     print(f"{len(rows)} states solved")
     solve = {"method": result.method, "residual": result.residual,
-             "matvecs": result.matvecs, "restarted": result.restarted,
-             "states": space.n_states, "transitions": len(space.trans_rows)}
+             "matvecs": result.matvecs, "states": space.n_states,
+             "transitions": len(space.trans_rows)}
     meta = run_metadata(config=inputs, game=args.game, summary=summary,
                         solve=solve)
     _emit(args, {"metadata": meta, "states": rows, "summary": summary}, rows,

@@ -20,20 +20,18 @@ rules that read only the cards, once per hand size for rules that read
 only its size, per state for rules that read the hand); top-card states
 are sorted by an integer code and their successors found by searching
 the codes. Every round moves the first hand's size by one, so each chain
-is bipartite between odd and even hand sizes and GMRES runs on the odd
-half alone, with the two blocks between the halves built straight from
-the transition triplets. :func:`gmres` is written here over numpy
-(block Gram-Schmidt, Givens rotations in Python floats). Only sparse
-storage comes from scipy: ``scipy.sparse`` is imported on the first
-solve, so ``import warlab`` does not load it, and
-``scipy.sparse.linalg`` only when a solve falls back to sparse LU; the
-scipy names used here (``csr_matrix``, ``splu``, ...) are module
-attributes once loaded.
+is bipartite between odd and even hand sizes: the two blocks between the
+halves are built once from the transition triplets, the
+almost-sure-absorption pre-check runs on them, and GMRES runs on the odd
+half alone. :func:`gmres` is written here over numpy (block
+Gram-Schmidt, Givens rotations in Python floats). Only sparse storage
+comes from scipy, imported where it is used: ``import warlab`` loads no
+``scipy.sparse``, and a solve loads ``scipy.sparse.linalg`` only when it
+falls back to sparse LU.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,36 +60,12 @@ GMRES_RESTART = 20
 GMRES_MAXITER = 50
 _EPS = float(np.finfo(np.float64).eps)
 
-#: scipy names imported on first use, by the module that holds them.
-_SCIPY = {
-    "csr_matrix": "scipy.sparse",
-    "identity": "scipy.sparse",
-    "splu": "scipy.sparse.linalg",
-}
-
-
-def __getattr__(name: str):
-    """Import a name of ``_SCIPY`` on first access and keep it as a module
-    attribute, where tests can replace it."""
-    if name not in _SCIPY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_SCIPY[name]), name)
-    globals()[name] = value
-    return value
-
-
-def _scipy(name: str):
-    """The module attribute ``name`` (a replacement set on the module
-    wins), importing it on first use."""
-    value = globals().get(name)
-    return __getattr__(name) if value is None else value
-
 
 class AbsorptionError(ValueError):
     """Raised when absorption is not almost sure from every state.
 
-    ``witness`` holds labels of states that cannot reach absorption (a
-    recurrent class under the given rule).
+    ``witness`` holds the indices, ascending, of the states that cannot
+    reach absorption (a recurrent class under the given rule).
     """
 
     def __init__(self, message: str, witness: list):
@@ -146,8 +120,7 @@ class SolveResult:
     ``method`` is the solver whose answers were kept ("gmres" or
     "splu"; "none" when every state is absorbing) and ``residual`` the
     larger max-abs residual of the two systems. ``matvecs`` counts the
-    GMRES operator applications over both systems and ``restarted`` is
-    True when a warm restart ran.
+    GMRES operator applications over both systems.
     """
 
     win_prob_a: np.ndarray
@@ -155,14 +128,14 @@ class SolveResult:
     method: str
     residual: float
     matvecs: int
-    restarted: bool
 
 
 def _check_transitions(space: StateSpace) -> None:
-    """Reject, naming the state, a probability below 0 or above 1 +
-    ``ROW_SUM_TOL`` or a non-absorbing row off 1 by more than that."""
+    """Reject, naming the state, a probability below 0, above 1 +
+    ``ROW_SUM_TOL`` or NaN, or a non-absorbing row off 1 by more than
+    that."""
     probs = space.trans_probs
-    bad = np.flatnonzero((probs < 0.0) | (probs > 1.0 + ROW_SUM_TOL))
+    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0 + ROW_SUM_TOL)))
     if bad.size:
         t = bad[0]
         raise ValueError(
@@ -399,32 +372,14 @@ def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     ``rows`` already ascend as the enumerators emit them, keeps each
     row's triplets in their order; a repeated (row, col) pair adds up in
     products."""
+    from scipy.sparse import csr_matrix
+
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return _scipy("csr_matrix")(
+    return csr_matrix(
         (values[order], cols[order].astype(np.int32), indptr), shape=shape
     )
-
-
-def _unreachable_states(space: StateSpace) -> list[int]:
-    """States that cannot reach absorption with positive probability.
-
-    Grows the set of states that can, starting from the absorbing ones:
-    each pass adds every state with a p > 0 transition into the set (one
-    sparse product), until a pass adds none. The states left out are
-    returned in ascending order.
-    """
-    n = space.n_states
-    keep = space.trans_probs > 0.0
-    graph = _csr(space.trans_rows[keep], space.trans_cols[keep],
-                 space.trans_probs[keep], (n, n))
-    reached = space.absorbing.copy()
-    while True:
-        grown = reached | (graph @ reached > 0.0)
-        if np.array_equal(grown, reached):
-            return [int(i) for i in np.flatnonzero(~reached)]
-        reached = grown
 
 
 def gmres(apply, b: np.ndarray, x0: Optional[np.ndarray] = None, *,
@@ -440,12 +395,13 @@ def gmres(apply, b: np.ndarray, x0: Optional[np.ndarray] = None, *,
     Hessenberg column in Python floats, so the rotated right-hand side
     gives the residual norm at every step. The cycle ends when that norm
     reaches the tolerance, when the new direction vanishes (a breakdown:
-    the basis then holds the solution) or after ``GMRES_RESTART`` steps;
-    it then solves its small triangular system and recomputes the
-    residual.
-    ``maxiter`` caps the cycles. Returns ``(x, info)``: ``info`` is 0
-    when ``|b - apply(x)| <= GMRES_RTOL |b|`` (2-norms), else 1. A zero
-    ``b`` returns zeros without calling ``apply``.
+    the basis then holds the solution, up to rounding) or after
+    ``GMRES_RESTART`` steps; it then solves its small triangular system
+    and recomputes the residual. A breakdown ends the cycle, not the
+    call: if that residual still misses the tolerance, the next cycle
+    starts from it. ``maxiter`` caps the cycles. Returns ``(x, info)``:
+    ``info`` is 0 when ``|b - apply(x)| <= GMRES_RTOL |b|`` (2-norms),
+    else 1. A zero ``b`` returns zeros without calling ``apply``.
     """
     n = b.size
     b_norm = math.sqrt(b @ b)
@@ -501,78 +457,7 @@ def gmres(apply, b: np.ndarray, x0: Optional[np.ndarray] = None, *,
         x += np.linalg.solve(tri, g[:k]) @ basis[:k]
         r = b - apply(x)
         r_norm = math.sqrt(r @ r)
-        if breakdown:
-            break
     return x, int(r_norm > tol)
-
-
-def _solve_systems(rows: np.ndarray, cols: np.ndarray, probs: np.ndarray,
-                   odd: np.ndarray, rhs: list) -> tuple:
-    """Solve ``(I - q) x = b`` for each ``b`` in ``rhs``, where ``q`` is
-    the triplets ``rows, cols, probs``, each joining a state that ``odd``
-    marks to one it does not.
-
-    ``q_oe`` and ``q_eo`` are built from the triplets, with each state
-    numbered within its half, and GMRES runs on the odd half, as
-    :func:`absorption_solve` sets out. Its answers are kept only when
-    every system converged (at the first try or after one warm restart)
-    and each max-abs residual of the whole system, computed from the two
-    blocks, is within ``RESIDUAL_TOL``; otherwise one sparse-LU
-    factorization of the whole ``I - q`` solves them all. Returns the
-    solutions, the method kept, the largest residual, the operator
-    applications over every system and whether a warm restart ran.
-    """
-    n = odd.size
-    odd_ids, even_ids = np.flatnonzero(odd), np.flatnonzero(~odd)
-    half = np.empty(n, dtype=np.int32)
-    half[odd_ids] = np.arange(odd_ids.size)
-    half[even_ids] = np.arange(even_ids.size)
-    from_odd = odd[rows]
-    from_even = ~from_odd
-    q_oe = _csr(half[rows[from_odd]], half[cols[from_odd]], probs[from_odd],
-                (odd_ids.size, even_ids.size))
-    q_eo = _csr(half[rows[from_even]], half[cols[from_even]],
-                probs[from_even], (even_ids.size, odd_ids.size))
-    matvecs = 0
-
-    def s_apply(v):
-        nonlocal matvecs
-        matvecs += 1
-        return v - q_oe @ (q_eo @ v)
-
-    def residual(x, b):
-        x_odd, x_even = x[odd_ids], x[even_ids]
-        r_odd = x_odd - q_oe @ x_even - b[odd_ids]
-        r_even = x_even - q_eo @ x_odd - b[even_ids]
-        return max(float(np.max(np.abs(r_odd), initial=0.0)),
-                   float(np.max(np.abs(r_even), initial=0.0)))
-
-    method, restarted, xs, gaps = "gmres", False, [], []
-    for b in rhs:
-        b_even = b[even_ids]
-        c = b[odd_ids] + q_oe @ b_even
-        x_odd, info = gmres(s_apply, c)
-        if info != 0:
-            # A breakdown can end GMRES with a residual a few times
-            # GMRES_RTOL |b| when |b| is small; one warm restart from
-            # that answer converges.
-            restarted = True
-            x_odd, info = gmres(s_apply, c, x0=x_odd)
-        x = np.empty_like(b)
-        x[odd_ids] = x_odd
-        x[even_ids] = b_even + q_eo @ x_odd
-        gap = residual(x, b)
-        if info != 0 or gap > RESIDUAL_TOL:
-            q = _csr(rows, cols, probs, (n, n))
-            a_mat = _scipy("identity")(n, format="csr") - q
-            lu = _scipy("splu")(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            xs = [lu.solve(v) for v in rhs]
-            gaps = [residual(x, b) for x, b in zip(xs, rhs)]
-            method = "splu"
-            break
-        xs.append(x)
-        gaps.append(gap)
-    return xs, method, max(gaps), matvecs, restarted
 
 
 def absorption_solve(space: StateSpace) -> SolveResult:
@@ -583,24 +468,66 @@ def absorption_solve(space: StateSpace) -> SolveResult:
     absorbing state is an identity row whose right-hand side is its
     boundary value. The win system takes ``b = absorbing_win`` (1/0) and
     the time system ``b`` = 1 at live states and 0 at absorbing ones.
-    Every round moves |A| by one, so ``I - Q`` is
+
+    A transition of positive probability between two states of the same
+    hand-size parity raises ``ValueError``. Otherwise ``I - Q`` is
     ``[[I, -Q_oe], [-Q_eo, I]]`` between the states of odd and of even
-    ``hand_size``: :func:`gmres` solves each system on its odd half,
-    ``(I - Q_oe Q_eo) x_o = b_o + Q_oe b_e`` with the product applied as
-    two sparse products, and ``x_e = b_e + Q_eo x_o``. If either does not
-    converge or its residual on the whole system exceeds
-    ``RESIDUAL_TOL``, both go through sparse LU of the whole system
-    instead (LU fill makes that path slow on the largest chains); only
-    then is the whole ``I - Q`` built. Only the live states' answers are
-    kept, so boundary values stay exact. The result records the path
-    kept, the larger residual, the GMRES operator applications and
-    whether a warm restart ran. Residuals above ``RESIDUAL_TOL`` after
-    either path raise ``ValueError``, as does a transition of positive
-    probability between two states of the same hand-size parity. States
-    from which absorption is not almost sure raise ``AbsorptionError``
-    with a recurrent-class witness.
+    ``hand_size``, and the two blocks are built once, with each state
+    numbered within its half. States that cannot reach absorption
+    through them raise ``AbsorptionError`` with a recurrent-class
+    witness. :func:`gmres` then solves each system on its odd half,
+    ``(I - Q_oe Q_eo) x_o = b_o + Q_oe b_e``, and ``x_e = b_e + Q_eo x_o``.
+    If either does not converge or its max-abs residual on the whole
+    system exceeds ``RESIDUAL_TOL``, both go through one sparse-LU
+    factorization of the whole ``I - Q`` instead, the only place it is
+    built (LU fill makes that path slow on the largest chains). A
+    residual above ``RESIDUAL_TOL`` after either path raises
+    ``ValueError``. Only the live states' answers are kept, so boundary
+    values stay exact.
     """
-    bad = _unreachable_states(space)
+    n = space.n_states
+    live = ~space.absorbing
+    win = space.absorbing_win.copy()
+    tau = np.zeros(n)
+    if not live.any():
+        return SolveResult(win_prob_a=win, expected_tau=tau, method="none",
+                           residual=0.0, matvecs=0)
+    rows, cols, probs = space.trans_rows, space.trans_cols, space.trans_probs
+    odd = space.hand_size % 2 == 1
+    from_live = live[rows]
+    same = from_live & (odd[rows] == odd[cols])
+    step = np.flatnonzero(same & (probs > 0.0))
+    if step.size:
+        i, j = rows[step[0]], cols[step[0]]
+        raise ValueError(
+            f"state {space.state_label(i)} moves to state "
+            f"{space.state_label(j)} of the same hand-size parity"
+        )
+    keep = from_live & ~same
+    rows, cols, probs = rows[keep], cols[keep], probs[keep]
+    odd_ids, even_ids = np.flatnonzero(odd), np.flatnonzero(~odd)
+    half = np.empty(n, dtype=np.int32)
+    half[odd_ids] = np.arange(odd_ids.size)
+    half[even_ids] = np.arange(even_ids.size)
+    from_odd = odd[rows]
+    from_even = ~from_odd
+    q_oe = _csr(half[rows[from_odd]], half[cols[from_odd]], probs[from_odd],
+                (odd_ids.size, even_ids.size))
+    q_eo = _csr(half[rows[from_even]], half[cols[from_even]],
+                probs[from_even], (even_ids.size, odd_ids.size))
+
+    # Grow the states that can reach absorption from the absorbing ones,
+    # a half at a time, until a pass adds none. _check_transitions keeps
+    # every probability >= 0, so a product is > 0 exactly where a p > 0
+    # transition enters the set; the blocks' p = 0 entries add nothing.
+    reached = space.absorbing.copy()
+    while True:
+        at_odd = reached[odd_ids] | (q_oe @ reached[even_ids] > 0.0)
+        at_even = reached[even_ids] | (q_eo @ at_odd > 0.0)
+        if at_odd.sum() + at_even.sum() == reached.sum():
+            break
+        reached[odd_ids], reached[even_ids] = at_odd, at_even
+    bad = np.flatnonzero(~reached).tolist()
     if bad:
         labels = [space.state_label(i) for i in bad[:8]]
         raise AbsorptionError(
@@ -608,36 +535,51 @@ def absorption_solve(space: StateSpace) -> SolveResult:
             f"{labels}",
             witness=bad,
         )
-    live = ~space.absorbing
-    win = space.absorbing_win.copy()
-    tau = np.zeros(space.n_states)
-    method, residual, matvecs, restarted = "none", 0.0, 0, False
-    if live.any():
-        rows, cols = space.trans_rows, space.trans_cols
-        odd = space.hand_size % 2 == 1
-        from_live = live[rows]
-        same = from_live & (odd[rows] == odd[cols])
-        step = np.flatnonzero(same & (space.trans_probs > 0.0))
-        if step.size:
-            i, j = rows[step[0]], cols[step[0]]
-            raise ValueError(
-                f"state {space.state_label(i)} moves to state "
-                f"{space.state_label(j)} of the same hand-size parity"
-            )
-        keep = from_live & ~same
-        rhs = [space.absorbing_win, live.astype(np.float64)]
-        (x_win, x_tau), method, residual, matvecs, restarted = \
-            _solve_systems(rows[keep], cols[keep], space.trans_probs[keep],
-                           odd, rhs)
-        if residual > RESIDUAL_TOL:
-            raise ValueError(
-                f"solver residual {residual:.3e} exceeds {RESIDUAL_TOL}"
-            )
-        win[live] = x_win[live]
-        tau[live] = x_tau[live]
+
+    matvecs = 0
+
+    def s_apply(v):
+        nonlocal matvecs
+        matvecs += 1
+        return v - q_oe @ (q_eo @ v)
+
+    def gap(x, b):
+        x_odd, x_even = x[odd_ids], x[even_ids]
+        r_odd = x_odd - q_oe @ x_even - b[odd_ids]
+        r_even = x_even - q_eo @ x_odd - b[even_ids]
+        return max(float(np.max(np.abs(r_odd), initial=0.0)),
+                   float(np.max(np.abs(r_even), initial=0.0)))
+
+    rhs = [space.absorbing_win, live.astype(np.float64)]
+    method, xs, gaps = "gmres", [], []
+    for b in rhs:
+        b_even = b[even_ids]
+        x_odd, info = gmres(s_apply, b[odd_ids] + q_oe @ b_even)
+        x = np.empty_like(b)
+        x[odd_ids] = x_odd
+        x[even_ids] = b_even + q_eo @ x_odd
+        gaps.append(gap(x, b))
+        if info != 0 or gaps[-1] > RESIDUAL_TOL:
+            from scipy.sparse import identity
+            from scipy.sparse.linalg import splu
+
+            a_mat = identity(n, format="csr") - _csr(rows, cols, probs,
+                                                     (n, n))
+            lu = splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            xs = [lu.solve(v) for v in rhs]
+            gaps = [gap(x, b) for x, b in zip(xs, rhs)]
+            method = "splu"
+            break
+        xs.append(x)
+    residual = max(gaps)
+    if residual > RESIDUAL_TOL:
+        raise ValueError(
+            f"solver residual {residual:.3e} exceeds {RESIDUAL_TOL}"
+        )
+    win[live] = xs[0][live]
+    tau[live] = xs[1][live]
     return SolveResult(win_prob_a=win, expected_tau=tau, method=method,
-                       residual=residual, matvecs=matvecs,
-                       restarted=restarted)
+                       residual=residual, matvecs=matvecs)
 
 
 def solve_rows(space: StateSpace, result: SolveResult) -> Iterator[dict]:

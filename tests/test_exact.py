@@ -102,6 +102,15 @@ class TestEnumeratePwar:
                            r"state 1 lies outside \[0, 1\]"):
             enumerate_pwar(build_deck((4, 1)), rule)
 
+    def test_rejects_nan_probabilities(self):
+        """A NaN from the rule fails every comparison, so it is named at
+        enumeration rather than left to the absorption pre-check."""
+        rule = WinningRule(name="nan", reads="cards",
+                           eval=lambda a, b, s, deck: math.nan)
+        with pytest.raises(ValueError, match=r"probability nan from state "
+                           r"1 lies outside \[0, 1\]"):
+            enumerate_pwar(build_deck((4, 1)), rule)
+
 
 def _reference_successors(mask, deck, rule):
     """Reference for the vectorised builder: the per-state loop.
@@ -445,9 +454,58 @@ class TestAbsorptionSolve:
         lambda: enumerate_fwar(4, strength_builtin("identity")),
     ], ids=["osc-6x1", "osc-5x1", "greater-8x1", "powered-3x2", "fwar-4"])
     def test_precheck_matches_reference(self, space):
+        """The solve's witness is the reference's unreachable states, and
+        a chain with none solves."""
         space = space()
-        assert exact._unreachable_states(space) \
-            == _reference_unreachable(space)
+        try:
+            absorption_solve(space)
+            witness = []
+        except AbsorptionError as err:
+            witness = err.witness
+        assert witness == _reference_unreachable(space)
+
+    def test_zero_probability_same_parity_triplet_accepted(self):
+        """A p = 0 triplet between states of the same hand-size parity
+        (here 1 -> 3) moves nothing: the chain solves as the fair walk on
+        [0, 3]."""
+        space = exact.StateSpace(
+            flavor="pwar_subsets",
+            states=[0, 1, 2, 3],
+            trans_rows=np.array([1, 1, 1, 2, 2]),
+            trans_cols=np.array([0, 2, 3, 1, 3]),
+            trans_probs=np.array([0.5, 0.5, 0.0, 0.5, 0.5]),
+            absorbing=np.array([True, False, False, True]),
+            absorbing_win=np.array([0.0, 0.0, 0.0, 1.0]),
+            n_cards=3,
+            hand_size=np.array([0, 1, 2, 3], dtype=np.int64),
+        )
+        result = absorption_solve(space)
+        assert result.method == "gmres"
+        for k in range(4):
+            oracle_tau, oracle_win = srw_oracle(3, k)
+            assert result.expected_tau[k] == pytest.approx(oracle_tau,
+                                                           abs=EXACT_TOL)
+            assert result.win_prob_a[k] == pytest.approx(oracle_win,
+                                                         abs=EXACT_TOL)
+
+    def test_parity_checked_before_absorption(self):
+        """A p > 0 same-parity step (1 -> 3) is named even though states
+        2 and 3 are also trapped, swapping between each other forever."""
+        space = exact.StateSpace(
+            flavor="pwar_subsets",
+            states=[0, 1, 2, 3, 4],
+            trans_rows=np.array([1, 1, 2, 3]),
+            trans_cols=np.array([0, 3, 3, 2]),
+            trans_probs=np.array([0.5, 0.5, 1.0, 1.0]),
+            absorbing=np.array([True, False, False, False, True]),
+            absorbing_win=np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
+            n_cards=4,
+            hand_size=np.array([0, 1, 2, 3, 4], dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="state 1 moves to state 3 ") \
+                as err:
+            absorption_solve(space)
+        assert not isinstance(err.value, AbsorptionError)
 
     def test_same_parity_transition_rejected(self):
         """A step that keeps the parity of |A| (here 1 -> 3) breaks the
@@ -555,7 +613,7 @@ class TestSolverPaths:
             return splu(a_mat, **kwargs)
 
         space = enumerate_pwar(build_deck((6, 1)), rule_powered())
-        monkeypatch.setattr(exact, "splu", recording_splu)
+        monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
         result = _solve_patched(space, monkeypatch)
         assert result.method == "splu"
         assert result.residual <= exact.RESIDUAL_TOL
@@ -579,21 +637,20 @@ class TestSolverPaths:
         assert np.array_equal(result.win_prob_a, ref.win_prob_a)
         assert np.array_equal(result.expected_tau, ref.expected_tau)
 
-    def test_warm_restart_before_fallback(self, monkeypatch):
-        """A first GMRES call that stops short is restarted from its
-        answer, and a converged restart is kept."""
-        starts = []
+    def test_gmres_stopping_short_goes_straight_to_lu(self, monkeypatch):
+        """A GMRES call that stops short is not called again: both
+        systems go to LU at once."""
+        calls = []
 
-        def first_call_stops_short(a_mat, b, x0=None, **kwargs):
-            starts.append(x0)
-            x, info = _GMRES(a_mat, b, x0=x0, **kwargs)
-            return x, (1 if x0 is None else info)
+        def stops_short(apply, b, **kwargs):
+            calls.append(b)
+            return _no_convergence(apply, b, **kwargs)
 
         space = enumerate_pwar(build_deck((6, 1)), rule_powered())
-        result = _solve_patched(space, monkeypatch, first_call_stops_short)
-        assert result.method == "gmres"
+        result = _solve_patched(space, monkeypatch, stops_short)
+        assert result.method == "splu"
         assert result.residual <= exact.RESIDUAL_TOL
-        assert [x0 is None for x0 in starts] == [True, False, True, False]
+        assert len(calls) == 1
 
     def test_both_paths_over_tolerance_raise(self, monkeypatch):
         class _BadLU:
@@ -602,7 +659,8 @@ class TestSolverPaths:
 
         space = enumerate_pwar(build_deck((6, 1)), rule_coin())
         monkeypatch.setattr(exact, "gmres", _wrong_answer)
-        monkeypatch.setattr(exact, "splu", lambda a_mat, **kwargs: _BadLU())
+        monkeypatch.setattr("scipy.sparse.linalg.splu",
+                            lambda a_mat, **kwargs: _BadLU())
         with pytest.raises(ValueError, match="residual"):
             absorption_solve(space)
 
@@ -701,22 +759,41 @@ class TestGmres:
         assert info == 0
         assert np.max(np.abs(x - b / np.diag(a))) <= 1e-12
 
-    def test_solve_counts_applications_and_restarts(self, monkeypatch):
-        """A warm restart is reported, and its operator applications
-        counted: restarting from a converged answer costs one, for its
-        residual, per system."""
+    def test_breakdown_then_continue(self):
+        """An operator whose first product is exactly 2 v breaks the
+        first cycle down after one step, short of the solution of
+        diag(2, 3, 4, 5, 6) x = 1; the next cycle starts from the
+        residual and converges."""
+        a = np.diag([2.0, 3.0, 4.0, 5.0, 6.0])
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return 2.0 * v if len(calls) == 1 else a @ v
+
+        b = np.ones(5)
+        x, info = exact.gmres(apply, b)
+        assert info == 0
+        assert len(calls) > 2
+        assert np.linalg.norm(b - a @ x) \
+            <= exact.GMRES_RTOL * np.linalg.norm(b)
+
+    def test_solve_counts_applications(self, monkeypatch):
+        """``matvecs`` is the number of operator applications over both
+        systems, as a counter wrapped round the operator sees them."""
+        seen = []
+
+        def counting_gmres(apply, b, **kwargs):
+            def counted(v):
+                seen.append(1)
+                return apply(v)
+            return _GMRES(counted, b, **kwargs)
+
         space = enumerate_pwar(build_deck((6, 1)), rule_powered())
-        plain = absorption_solve(space)
-        assert (plain.method, plain.restarted) == ("gmres", False)
-
-        def first_call_stops_short(apply, b, x0=None, **kwargs):
-            x, info = _GMRES(apply, b, x0=x0, **kwargs)
-            return x, (1 if x0 is None else info)
-
-        monkeypatch.setattr(exact, "gmres", first_call_stops_short)
+        monkeypatch.setattr(exact, "gmres", counting_gmres)
         result = absorption_solve(space)
-        assert (result.method, result.restarted) == ("gmres", True)
-        assert result.matvecs == plain.matvecs + 2
+        assert result.method == "gmres"
+        assert result.matvecs == len(seen) > 0
 
     def test_solve_leaves_scipy_sparse_linalg_unloaded(self):
         """A solve that stays on GMRES imports no scipy solver."""
