@@ -324,7 +324,6 @@ def aces_win_table(
     seed: int,
     min_hand: int = 2,
     workers: int = 1,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> list[dict]:
     """Estimated win probability conditioned on the number of strongest-
     rank cards dealt to the first player (hand sizes equalized).
@@ -349,7 +348,6 @@ def aces_win_table(
             face_down=tie.face_down,
             min_hand=min_hand,
             top_rank_count=k,
-            max_rounds=max_rounds,
         )
         records = run_trials(
             cfg,

@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import __version__
 from .classic import ClassicConfig
-from .core import DEFAULT_MAX_ROUNDS, WINNER_A, WINNER_B, built
-from .fwar import FwarConfig, strongest_deal_win_prob
+from .core import DEFAULT_MAX_ROUNDS, TRUNCATED, WINNER_A, WINNER_B, built
+from .fwar import DEALS, RETURN_ORDERS, FwarConfig, strongest_deal_win_prob
 from .pwar import PwarConfig
 from .reproduce import REFERENCE_MIN_HAND, REPRODUCE_TARGETS, VERIFY_SUITES
 from .rules import RULE_NAMES, STRENGTH_KINDS
@@ -25,7 +25,7 @@ from .stats import (
     histogram,
     run_metadata,
     run_trials,
-    summarize_records,
+    summarize,
     win_frequency,
     write_json,
     write_table_csv,
@@ -158,33 +158,30 @@ def cmd_simulate(args) -> int:
     built(config)  # a bad rule or strength fails here, before any fork
     records = run_trials(config, args.trials, args.seed,
                          workers=args.workers)
-    stats = summarize_records(records)
-    freq = win_frequency(records)
+    taus = [r.tau for r in records if r.winner in (WINNER_A, WINNER_B)]
+    truncated = sum(r.winner == TRUNCATED for r in records)
+    draws = args.trials - len(taus) - truncated
+    # With no decided game the moments and win frequency stay None.
+    row = dict.fromkeys(("n_trials", "mean", "median", "max", "std",
+                         "ci95_lo", "ci95_hi", "truncated_count",
+                         "draw_count", "win_freq_a"))
+    row.update(n_trials=args.trials, truncated_count=truncated,
+               draw_count=draws)
+    line = "no decided games"
+    if taus:
+        stats = summarize(taus)
+        row.update(mean=stats.mean, median=stats.median, max=stats.max,
+                   std=stats.std, ci95_lo=stats.ci95[0],
+                   ci95_hi=stats.ci95[1], win_freq_a=win_frequency(records))
+        line = (f"mean={stats.mean:.2f}  median={stats.median:.1f}  "
+                f"max={stats.max:.0f}  std={stats.std:.2f}  "
+                f"P(A wins)={row['win_freq_a']:.4f}")
+    print(f"{args.game}: {args.trials} trials  {line}  "
+          f"truncated={truncated} draws={draws}")
     meta = run_metadata(config=config, seed=args.seed,
                         n_trials=args.trials, workers=args.workers)
-    print(
-        f"{args.game}: {args.trials} trials  mean={stats.mean:.2f}  "
-        f"median={stats.median:.1f}  max={stats.max:.0f}  "
-        f"std={stats.std:.2f}  P(A wins)={freq:.4f}  "
-        f"truncated={stats.truncated_count} draws={stats.draw_count}"
-    )
-    payload = {
-        "metadata": meta,
-        "stats": {
-            "n_trials": stats.n_trials,
-            "mean": stats.mean,
-            "median": stats.median,
-            "max": stats.max,
-            "std": stats.std,
-            "ci95_lo": stats.ci95[0],
-            "ci95_hi": stats.ci95[1],
-            "truncated_count": stats.truncated_count,
-            "draw_count": stats.draw_count,
-            "win_freq_a": freq,
-        },
-    }
-    if args.bins is not None:
-        taus = [r.tau for r in records if r.winner in (WINNER_A, WINNER_B)]
+    payload = {"metadata": meta, "stats": row}
+    if args.bins is not None and taus:
         hist = histogram(taus, args.bins)
         payload["histogram"] = {
             "bin_edges": hist.bin_edges,
@@ -197,7 +194,6 @@ def cmd_simulate(args) -> int:
                             zip(edges, edges[1:], hist.counts),
                             metadata=meta)
             print(f"wrote {hist_path}")
-    row = payload["stats"]
     _emit(args, payload, [row], header=list(row))
     return 0
 
@@ -324,7 +320,7 @@ _DEFAULT_TRIALS = {"rounds": 50000, "aces": 12000, "scaling": 20000}
 
 
 def cmd_reproduce(args) -> int:
-    target = "aces" if args.target == "aces-table" else args.target
+    target = args.target
     trials = _DEFAULT_TRIALS[target] if args.trials is None else args.trials
     if trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -434,11 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--lam", type=float, default=None)
     sim.add_argument("--n", type=int, default=None,
                      help="fwar deck size (n distinct ranks)")
-    sim.add_argument("--deal", choices=("uniform", "iid", "strongest"),
-                     default="uniform")
+    sim.add_argument("--deal", choices=DEALS, default="uniform")
     sim.add_argument("--return-order", dest="return_order",
-                     choices=("random", "own_first", "captured_first"),
-                     default="random")
+                     choices=RETURN_ORDERS, default="random")
     sim.add_argument("--tie", choices=("war", "coin"), default="war")
     sim.add_argument("--face-down", dest="face_down", type=int, default=1)
     sim.add_argument("--min-hand", dest="min_hand", type=int, default=1,
@@ -474,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = command("reproduce", cmd_reproduce, seeded=True,
                   help="re-run the reference experiments and compare")
-    rep.add_argument("target",
-                     choices=("rounds", "aces", "aces-table", "scaling"))
+    rep.add_argument("target", choices=REPRODUCE_TARGETS)
     rep.add_argument("--trials", type=int, default=None,
                      help="trials per round-count model (rounds, default "
                           "50000), per strongest-count cell (aces, 12000) "

@@ -13,8 +13,8 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Optional, Sequence
 
 #: Name of the RNG scheme, recorded in every output's metadata.
 RNG_ALGORITHM = "mt19937/sha256-derived-streams"
@@ -45,10 +45,6 @@ class DeckSpec:
     n_ranks: int
     copies: int = 1
 
-    @property
-    def size(self) -> int:
-        return self.n_ranks * self.copies
-
     def label(self) -> str:
         return f"{self.n_ranks}x{self.copies}"
 
@@ -64,16 +60,16 @@ class Deck:
     def size(self) -> int:
         return len(self.cards)
 
-    @property
+    @cached_property
     def ranks(self) -> tuple[int, ...]:
         """Rank of each card, indexed by card id."""
         return tuple(c.rank for c in self.cards)
 
-    @property
+    @cached_property
     def max_rank(self) -> int:
         return max(c.rank for c in self.cards)
 
-    @property
+    @cached_property
     def has_repeated_ranks(self) -> bool:
         ranks = self.ranks
         return len(set(ranks)) != len(ranks)
@@ -84,35 +80,16 @@ class Deck:
         return "ranks:" + ",".join(str(r) for r in self.ranks)
 
 
-DeckLike = Union[DeckSpec, tuple, Sequence[int]]
+def build_deck(spec: Sequence[int]) -> Deck:
+    """Build a deck from an ``(n_ranks, copies)`` pair or an explicit
+    sequence of ranks.
 
-
-@lru_cache(maxsize=128)
-def _deck_from_spec(n_ranks: int, copies: int) -> Deck:
-    cards = tuple(
-        Card(id=i, rank=i // copies + 1) for i in range(n_ranks * copies)
-    )
-    return Deck(cards=cards, spec=DeckSpec(n_ranks, copies))
-
-
-@lru_cache(maxsize=128)
-def _deck_from_ranks(ranks: tuple) -> Deck:
-    cards = tuple(Card(id=i, rank=r) for i, r in enumerate(ranks))
-    return Deck(cards=cards, spec=None)
-
-
-def build_deck(spec: DeckLike) -> Deck:
-    """Build a deck from a :class:`DeckSpec`, an ``(n_ranks, copies)`` pair,
-    or an explicit sequence of ranks.
-
-    Ids are assigned ``0..size-1``; for spec decks, card ``i`` has rank
-    ``i // copies + 1`` so ranks run ``1..n_ranks``.
+    Ids are assigned ``0..size-1``; for ``(n_ranks, copies)`` decks, card
+    ``i`` has rank ``i // copies + 1`` so ranks run ``1..n_ranks``.
 
     Raises ``ValueError`` for empty decks, non-positive sizes or ranks.
     """
-    if isinstance(spec, DeckSpec):
-        n_ranks, copies = spec.n_ranks, spec.copies
-    elif isinstance(spec, tuple) and len(spec) == 2 and all(
+    if isinstance(spec, tuple) and len(spec) == 2 and all(
         isinstance(x, int) for x in spec
     ):
         # A 2-tuple of ints always means (n_ranks, copies); pass a list for
@@ -124,13 +101,17 @@ def build_deck(spec: DeckLike) -> Deck:
             raise ValueError("deck must contain at least one card")
         if any(r <= 0 for r in ranks):
             raise ValueError("ranks must be positive integers")
-        return _deck_from_ranks(ranks)
+        return Deck(cards=tuple(Card(id=i, rank=r)
+                                for i, r in enumerate(ranks)))
     if n_ranks <= 0 or copies <= 0:
         raise ValueError(
             f"deck spec needs positive rank and copy counts, got "
             f"{n_ranks}x{copies}"
         )
-    return _deck_from_spec(n_ranks, copies)
+    cards = tuple(
+        Card(id=i, rank=i // copies + 1) for i in range(n_ranks * copies)
+    )
+    return Deck(cards=cards, spec=DeckSpec(n_ranks, copies))
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +286,13 @@ class RngStream:
     methods stored as attributes, so hot loops pay no delegation cost.
     """
 
-    __slots__ = ("seed", "stream_id", "random", "getrandbits")
+    __slots__ = ("stream_id", "random", "getrandbits")
 
     algorithm = RNG_ALGORITHM
 
     def __init__(self, seed: int, stream_id: int = 0):
         material = hashlib.sha256(f"{seed}:{stream_id}".encode()).digest()
         rng = random.Random(int.from_bytes(material, "big"))
-        self.seed = seed
         self.stream_id = stream_id
         self.random = rng.random
         self.getrandbits = rng.getrandbits

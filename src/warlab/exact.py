@@ -53,7 +53,7 @@ ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 #: :func:`gmres` settings: relative tolerance (2-norm of the residual
 #: over that of the right-hand side), steps per restart cycle and the
-#: default cap on cycles; the odd-half systems tried up to the
+#: cap on cycles; the odd-half systems tried up to the
 #: enumeration limits converged within 4 cycles.
 GMRES_RTOL = 1e-14
 GMRES_RESTART = 20
@@ -382,8 +382,7 @@ def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     )
 
 
-def gmres(apply, b: np.ndarray, x0: Optional[np.ndarray] = None, *,
-          maxiter: int = GMRES_MAXITER) -> tuple[np.ndarray, int]:
+def gmres(apply, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve ``apply(x) = b`` by restarted GMRES (Saad and Schultz, SIAM
     J. Sci. Stat. Comput. 7, 1986), ``apply`` being the operator's
     product with a vector.
@@ -399,8 +398,9 @@ def gmres(apply, b: np.ndarray, x0: Optional[np.ndarray] = None, *,
     ``GMRES_RESTART`` steps; it then solves its small triangular system
     and recomputes the residual. A breakdown ends the cycle, not the
     call: if that residual still misses the tolerance, the next cycle
-    starts from it. ``maxiter`` caps the cycles. Returns ``(x, info)``:
-    ``info`` is 0 when ``|b - apply(x)| <= GMRES_RTOL |b|`` (2-norms),
+    starts from it. The first cycle starts from zero and
+    ``GMRES_MAXITER`` caps the cycles. Returns ``(x, info)``: ``info``
+    is 0 when ``|b - apply(x)| <= GMRES_RTOL |b|`` (2-norms),
     else 1. A zero ``b`` returns zeros without calling ``apply``.
     """
     n = b.size
@@ -408,12 +408,11 @@ def gmres(apply, b: np.ndarray, x0: Optional[np.ndarray] = None, *,
     if b_norm == 0.0:
         return np.zeros(n), 0
     tol = GMRES_RTOL * b_norm
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - apply(x) if x.any() else b.copy()
-    r_norm = math.sqrt(r @ r)
+    x = np.zeros(n)
+    r, r_norm = b, b_norm
     m = min(GMRES_RESTART, n)
     basis = np.empty((m + 1, n))
-    for _ in range(maxiter):
+    for _ in range(GMRES_MAXITER):
         if r_norm <= tol:
             return x, 0
         np.multiply(r, 1.0 / r_norm, out=basis[0])

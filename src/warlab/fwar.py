@@ -32,7 +32,6 @@ from .core import (
     WINNER_A,
     WINNER_B,
     Deck,
-    DeckSpec,
     GameState,
     RngStream,
     StrengthFunction,
@@ -262,7 +261,7 @@ class FwarConfig:
     return_order: str = "random"
 
     def build(self):
-        deck = build_deck(DeckSpec(self.n, 1))
+        deck = build_deck((self.n, 1))
         strength = rules.strength_from_spec(
             self.strength, self.strength_param, self.n
         )

@@ -197,36 +197,30 @@ def strength_from_spec(
     return strength_builtin(kind)
 
 
-#: Rule names accepted by name-based construction (CLI and trial configs).
-RULE_NAMES = (
-    "coin",
-    "greater",
-    "greater-tiecoin",
-    "powered",
-    "bradley-terry",
-    "max-holder",
-)
+#: Built-in rule factories by the name the CLI and trial configs use;
+#: ``bradley-terry``'s takes the strength function.
+_RULES = {
+    "coin": rule_coin,
+    "greater": rule_greater,
+    "greater-tiecoin": rule_greater_tiecoin,
+    "powered": rule_powered,
+    "bradley-terry": rule_bradley_terry,
+    "max-holder": rule_max_holder,
+}
+RULE_NAMES = tuple(_RULES)
 
 
 def rule_by_name(
     name: str, strength: Optional[StrengthFunction] = None
 ) -> WinningRule:
     """Construct a built-in rule from its CLI name."""
-    if name == "coin":
-        return rule_coin()
-    if name == "greater":
-        return rule_greater()
-    if name == "greater-tiecoin":
-        return rule_greater_tiecoin()
-    if name == "powered":
-        return rule_powered()
+    if name not in _RULES:
+        raise ValueError(
+            f"unknown rule {name!r}; valid names: {', '.join(RULE_NAMES)}"
+        )
     if name == "bradley-terry":
         return rule_bradley_terry(strength or strength_builtin("identity"))
-    if name == "max-holder":
-        return rule_max_holder()
-    raise ValueError(
-        f"unknown rule {name!r}; valid names: {', '.join(RULE_NAMES)}"
-    )
+    return _RULES[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -167,14 +167,14 @@ def summarize_records(records: Iterable) -> SampleStats:
     return summarize(taus, truncated_count=truncated, draw_count=draws)
 
 
-def win_frequency(records: Iterable, player: str = WINNER_A) -> float:
-    """Fraction of decided games won by ``player``."""
+def win_frequency(records: Iterable) -> float:
+    """Fraction of decided games won by the first player."""
     wins = 0
     decided = 0
     for r in records:
         if r.winner in (WINNER_A, WINNER_B):
             decided += 1
-            wins += r.winner == player
+            wins += r.winner == WINNER_A
     if decided == 0:
         raise ValueError("no decided games")
     return wins / decided

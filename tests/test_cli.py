@@ -122,6 +122,38 @@ class TestSimulate:
             assert not out.exists()
             assert not Path(str(out) + ".hist.csv").exists()
 
+    @pytest.mark.parametrize("argv,counts", [
+        (["--game", "pwar", "--deck", "52x1", "--max-rounds", "10",
+          "--trials", "20"], {"truncated_count": 20, "draw_count": 0}),
+        (["--game", "classic", "--deck", "2x1", "--min-hand", "2",
+          "--trials", "5"], {"truncated_count": 0, "draw_count": 5}),
+    ], ids=["all-truncated", "all-drawn"])
+    def test_no_decided_game_reports_counts(self, tmp_path, capsys, argv,
+                                            counts):
+        """With no decided game simulate still exits 0 and writes its
+        counts; the moments and win frequency are null in JSON and empty
+        in CSV, and --bins writes no histogram."""
+        trials = int(argv[-1])
+        csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+        assert main(["simulate", *argv, "--bins", "4",
+                     "--out", str(csv_out)]) == 0
+        assert main(["simulate", *argv, "--bins", "4", "--format", "json",
+                     "--out", str(json_out)]) == 0
+        assert "no decided games" in capsys.readouterr().out
+        payload = json.loads(json_out.read_text())
+        assert "histogram" not in payload
+        unset = ["mean", "median", "max", "std", "ci95_lo", "ci95_hi",
+                 "win_freq_a"]
+        assert payload["stats"] == {"n_trials": trials, **counts,
+                                    **dict.fromkeys(unset)}
+        _, (header, values) = read_csv_with_metadata(str(csv_out))
+        assert dict(zip(header, values)) == {
+            "n_trials": str(trials),
+            **{k: str(v) for k, v in counts.items()},
+            **dict.fromkeys(unset, ""),
+        }
+        assert not Path(str(csv_out) + ".hist.csv").exists()
+
     def test_classic_min_hand_below_one_clean_error(self, capsys):
         rc = main([
             "simulate", "--game", "classic", "--deck", "4x1",
@@ -240,6 +272,26 @@ class TestExact:
         assert "max dev 5.33e+00 -> walk comparison not checked" in out
         assert "pass" not in out
 
+    def test_deck_count_means_distinct_ranks(self, tmp_path):
+        """--deck 6 is the deck 6x1: the same states and values."""
+        outs = []
+        for deck in ("6", "6x1"):
+            out = tmp_path / f"{deck}.json"
+            assert main(["exact", "--game", "pwar", "--deck", deck,
+                         "--format", "json", "--out", str(out)]) == 0
+            outs.append(json.loads(out.read_text()))
+        assert outs[0]["states"] == outs[1]["states"]
+        assert len(outs[0]["states"]) == 2**6
+
+    def test_deck_rank_list_recorded(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["exact", "--game", "pwar", "--deck", "1,2,3,4",
+                     "--rule", "greater", "--format", "json",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["metadata"]["config"]["deck"] == "ranks:1,2,3,4"
+        assert len(payload["states"]) == 2**4
+
     def test_oversized_deck_clean_error(self, capsys):
         rc = main([
             "exact", "--game", "pwar", "--rule", "coin",
@@ -325,10 +377,10 @@ class TestReproduce:
             "error: --trials must be at least 1\n")
 
     def test_aces_table_alias(self, tmp_path):
-        """aces-table at small trials still checks the structural rows."""
+        """aces at small trials still checks the structural rows."""
         out = str(tmp_path / "aces.csv")
         rc = main([
-            "reproduce", "aces-table", "--trials", "250",
+            "reproduce", "aces", "--trials", "250",
             "--seed", "9", "--out", out,
         ])
         # tolerance rows may miss at 250 trials/cell; the structural rows
@@ -349,6 +401,12 @@ class TestReproduce:
         assert coin_rows[4]["artifact"] == "1.0"
         assert coin_rows[0]["pass"] == "True"
         assert coin_rows[4]["pass"] == "True"
+
+    def test_aces_table_spelling_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "aces-table", "--trials", "5"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'aces-table'" in capsys.readouterr().err
 
 
 class TestConfigFile:

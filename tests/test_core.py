@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from warlab.core import (
     Card,
-    DeckSpec,
     GameState,
     RngStream,
     build_deck,
@@ -35,7 +34,7 @@ class TestBuildDeck:
 
     def test_standard_52(self):
         """(13, 4) is the standard four-suit deck: 4 copies of 13 ranks."""
-        deck = build_deck(DeckSpec(13, 4))
+        deck = build_deck((13, 4))
         assert deck.size == 52
         assert Counter(c.rank for c in deck.cards) == {
             r: 4 for r in range(1, 14)

@@ -385,6 +385,17 @@ class TestEnumerateFwar:
         with pytest.raises(ValueError):
             enumerate_fwar(8, strength_builtin("identity"))
 
+    def test_row_sum_off_one_names_state(self):
+        """Halving the first live row of the n=3 chain leaves every
+        probability in [0, 1] but the row summing to 0.5: the check names
+        that state by its hands, A = (0) and B = (1, 2), and the sum."""
+        space = enumerate_fwar(3, strength_builtin("identity"))
+        i = int(np.flatnonzero(~space.absorbing)[0])
+        space.trans_probs[space.trans_rows == i] *= 0.5
+        with pytest.raises(ValueError, match=r"^transition probabilities "
+                           r"from state a:0;b:1,2 sum to 0\.5, not 1$"):
+            exact._check_transitions(space)
+
 
 class TestAbsorptionSolve:
     def test_uniform_hands_match_walk_values(self):
@@ -724,11 +735,9 @@ class TestGmres:
         assert info == 0
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("x0", [None, np.ones(5)], ids=["cold", "warm"])
-    def test_zero_rhs_returns_zeros_unapplied(self, x0):
+    def test_zero_rhs_returns_zeros_unapplied(self):
         calls = []
-        x, info = exact.gmres(_counting(np.eye(5), calls), np.zeros(5),
-                              x0=x0)
+        x, info = exact.gmres(_counting(np.eye(5), calls), np.zeros(5))
         assert info == 0
         assert np.array_equal(x, np.zeros(5))
         assert calls == []
@@ -747,13 +756,15 @@ class TestGmres:
         assert len(calls) == 2
         assert np.linalg.norm(a @ x - b) <= exact.GMRES_RTOL * 3.0
 
-    def test_one_cycle_short_of_a_hard_system(self):
+    def test_one_cycle_short_of_a_hard_system(self, monkeypatch):
         """A 200-state system with condition number 1000 needs more than
         one cycle of 20 steps to reach GMRES_RTOL, and gets there with
-        the default cap."""
+        the GMRES_MAXITER cap."""
         a = np.diag(np.linspace(1.0, 1000.0, 200))
         b = np.ones(200)
-        _, info = exact.gmres(lambda v: a @ v, b, maxiter=1)
+        with monkeypatch.context() as m:
+            m.setattr(exact, "GMRES_MAXITER", 1)
+            _, info = exact.gmres(lambda v: a @ v, b)
         assert info != 0
         x, info = exact.gmres(lambda v: a @ v, b)
         assert info == 0

@@ -244,6 +244,14 @@ class TestEmitters:
         assert text.endswith("\n")
         assert text.splitlines() == ["a,b", "1,2", "3,4"]
 
+    def test_csv_without_metadata_line(self, tmp_path):
+        """A CSV with no leading '# ' line reads as no metadata, its first
+        line kept as the header."""
+        path = str(tmp_path / "t.csv")
+        write_table_csv(path, ["a", "b"], [[1, 2]])
+        assert read_csv_with_metadata(path) == (None, [["a", "b"],
+                                                       ["1", "2"]])
+
     def test_json_payload(self, tmp_path):
         path = str(tmp_path / "out.json")
         write_json(path, {"metadata": run_metadata(seed=4), "x": [1, 2]})
