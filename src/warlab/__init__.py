@@ -24,7 +24,6 @@ from .core import (
     WINNER_B,
     Card,
     Deck,
-    DeckSpec,
     GameState,
     RNG_ALGORITHM,
     RngStream,

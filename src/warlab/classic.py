@@ -277,7 +277,7 @@ class ClassicConfig:
         deck, tie = built(self)
         rng = RngStream(seed, stream_id)
         if self.top_rank_count is None:
-            state = deal_uniform(deck, deck.size // 2, rng, ordered=True)
+            state = deal_uniform(deck, None, rng, ordered=True)
         else:
             state = deal_top_rank_conditioned(
                 deck, self.top_rank_count, rng
@@ -292,28 +292,24 @@ class ClassicConfig:
             record_trace=self.record_trace,
         )
         if self.top_rank_count is not None and self.tie == "coin_flip":
-            copies = sum(
-                1 for c in deck.cards if c.rank == deck.max_rank
-            )
             _check_top_rank_monotonicity(
-                self.top_rank_count, copies, record.winner
+                self.top_rank_count, deck.ranks.count(deck.max_rank), record
             )
         return record
 
 
-def _check_top_rank_monotonicity(k: int, copies: int, winner: str) -> None:
+def _check_top_rank_monotonicity(k: int, copies: int,
+                                 record: TrialRecord) -> None:
     """Structural facts under coin-flip ties: a top-rank card can only
     change hands through a top-vs-top tie, so with none of them the first
     player can never win and with all of them can never lose. Checked on
     every simulated game; a violation is an engine bug, not noise. (War
     rounds move unseen cards, so the claim does not apply there.)"""
-    if k == 0 and winner == WINNER_A:
+    if (k == 0 and record.winner == WINNER_A
+            or k == copies and record.winner == WINNER_B):
         raise RuntimeError(
-            "invariant violated: player with zero top-rank cards won"
-        )
-    if k == copies and winner == WINNER_B:
-        raise RuntimeError(
-            "invariant violated: player holding every top-rank card lost"
+            f"invariant violated in stream {record.stream_id}: the player "
+            f"holding k={k} of {copies} top-rank cards {record.winner}"
         )
 
 
@@ -337,13 +333,13 @@ def aces_win_table(
 
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be at least 1")
-    if deck.spec is None:
-        raise ValueError("the conditioned table needs an n_ranks x copies deck")
-    copies = deck.spec.copies
+    if deck.size == 2:  # a config reads a pair as (n_ranks, copies)
+        raise ValueError("the conditioned table needs at least three cards")
+    copies = deck.ranks.count(deck.max_rank)
     rows = []
     for k in range(copies + 1):
         cfg = ClassicConfig(
-            deck=(deck.spec.n_ranks, copies),
+            deck=deck.ranks,
             tie=tie.kind,
             face_down=tie.face_down,
             min_hand=min_hand,

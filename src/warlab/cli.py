@@ -43,14 +43,27 @@ _GAME_OPTIONS = {
 
 
 def _parse_deck(text: str) -> tuple:
-    """Deck spec strings: '13x4', '52', or comma-separated ranks."""
+    """Deck spec strings: '13x4', '52', or three or more comma-separated
+    ranks (a config reads a pair of ints as ``(n_ranks, copies)``)."""
     text = text.strip()
     if "," in text:
-        return tuple(int(x) for x in text.split(","))
+        ranks = tuple(int(x) for x in text.split(","))
+        if len(ranks) == 2:
+            raise ValueError(f"--deck {text}: a rank list needs at least "
+                             f"three ranks")
+        return ranks
     if "x" in text:
         n_ranks, copies = text.split("x", 1)
         return (int(n_ranks), int(copies))
     return (int(text), 1)
+
+
+def _deck_label(spec: tuple) -> str:
+    """``exact``'s label of a :func:`_parse_deck` tuple: ``NxM`` or
+    ``ranks:r1,r2,...``."""
+    if len(spec) == 2:
+        return f"{spec[0]}x{spec[1]}"
+    return "ranks:" + ",".join(map(str, spec))
 
 
 def _strength_param(args) -> Optional[float]:
@@ -217,13 +230,17 @@ def cmd_exact(args) -> int:
     ok = True
     summary = {}
     if args.game == "pwar":
-        deck, rule = _pwar_config(args).build()
-        inputs = {"deck": deck.describe(), "rule": rule.name,
-                  "uniform_size": args.uniform_size}
+        config = _pwar_config(args)
+        deck, rule = config.build()
+        k = args.uniform_size
+        if k is not None and not 0 <= k <= deck.size:
+            raise ValueError(f"--uniform-size must lie in [0, {deck.size}], "
+                             f"got {k}")
+        inputs = {"deck": _deck_label(config.deck), "rule": rule.name,
+                  "uniform_size": k}
         space = enumerate_pwar(deck, rule)
         result = absorption_solve(space)
-        if args.uniform_size is not None:
-            k = args.uniform_size
+        if k is not None:
             mean_tau, mean_win = average_uniform_hands(space, result, k)
             oracle_tau, oracle_win = srw_oracle(deck.size, k)
             dev = max(abs(mean_tau - oracle_tau),
@@ -414,22 +431,27 @@ def build_parser() -> argparse.ArgumentParser:
         parser.commands[name] = p
         return p
 
+    def game_flags(p, deck):
+        """The game flags of ``simulate`` and ``exact``; ``deck`` is the
+        default deck."""
+        p.add_argument("--deck", default=deck, help="deck spec: NxM, N, "
+                       "or three or more comma-separated ranks")
+        p.add_argument("--rule", default="coin",
+                       help=f"pwar rule: {', '.join(RULE_NAMES)}")
+        p.add_argument("--strength", choices=STRENGTH_KINDS, default=None)
+        p.add_argument("--shift", type=int, default=None)
+        p.add_argument("--lam", type=float, default=None)
+        p.add_argument("--n", type=int, default=None,
+                       help="fwar deck size (n distinct ranks)")
+
     sim = command("simulate", cmd_simulate, seeded=True,
                   help="run seeded Monte Carlo trials")
     sim.add_argument("--game", choices=("pwar", "fwar", "classic"),
                      required=True)
     sim.add_argument("--trials", type=int, default=10000)
-    sim.add_argument("--deck", default="13x4",
-                     help="deck spec: NxM, N, or comma-separated ranks")
+    game_flags(sim, "13x4")
     sim.add_argument("--split", type=int, default=None,
                      help="initial size of the first hand (default half)")
-    sim.add_argument("--rule", default="coin",
-                     help=f"pwar rule: {', '.join(RULE_NAMES)}")
-    sim.add_argument("--strength", choices=STRENGTH_KINDS, default=None)
-    sim.add_argument("--shift", type=int, default=None)
-    sim.add_argument("--lam", type=float, default=None)
-    sim.add_argument("--n", type=int, default=None,
-                     help="fwar deck size (n distinct ranks)")
     sim.add_argument("--deal", choices=DEALS, default="uniform")
     sim.add_argument("--return-order", dest="return_order",
                      choices=RETURN_ORDERS, default="random")
@@ -446,12 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     exa = command("exact", cmd_exact, seeded=False,
                   help="enumerate and solve a small instance")
     exa.add_argument("--game", choices=("pwar", "fwar"), required=True)
-    exa.add_argument("--deck", default="8x1")
-    exa.add_argument("--rule", default="coin")
-    exa.add_argument("--strength", choices=STRENGTH_KINDS, default=None)
-    exa.add_argument("--shift", type=int, default=None)
-    exa.add_argument("--lam", type=float, default=None)
-    exa.add_argument("--n", type=int, default=None)
+    game_flags(exa, "8x1")
     exa.add_argument("--uniform-size", dest="uniform_size", type=int,
                      default=None,
                      help="also average over uniform hands of this size "
@@ -471,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("target", choices=REPRODUCE_TARGETS)
     rep.add_argument("--trials", type=int, default=None,
                      help="trials per round-count model (rounds, default "
-                          "50000), per strongest-count cell (aces, 12000) "
-                          "or per size (scaling, 20000)")
+                          "{rounds}), per strongest-count cell (aces, "
+                          "{aces}) or per size (scaling, {scaling})"
+                          .format(**_DEFAULT_TRIALS))
     return parser
 
 

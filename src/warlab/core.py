@@ -39,22 +39,10 @@ class Card:
 
 
 @dataclass(frozen=True)
-class DeckSpec:
-    """Deck descriptor: ``n_ranks`` distinct ranks, ``copies`` cards of each."""
-
-    n_ranks: int
-    copies: int = 1
-
-    def label(self) -> str:
-        return f"{self.n_ranks}x{self.copies}"
-
-
-@dataclass(frozen=True)
 class Deck:
     """The fixed multiset of all cards in play, ids ``0..size-1``."""
 
     cards: tuple[Card, ...]
-    spec: DeckSpec | None = None
 
     @property
     def size(self) -> int:
@@ -73,11 +61,6 @@ class Deck:
     def has_repeated_ranks(self) -> bool:
         ranks = self.ranks
         return len(set(ranks)) != len(ranks)
-
-    def describe(self) -> str:
-        if self.spec is not None:
-            return self.spec.label()
-        return "ranks:" + ",".join(str(r) for r in self.ranks)
 
 
 def build_deck(spec: Sequence[int]) -> Deck:
@@ -111,7 +94,7 @@ def build_deck(spec: Sequence[int]) -> Deck:
     cards = tuple(
         Card(id=i, rank=i // copies + 1) for i in range(n_ranks * copies)
     )
-    return Deck(cards=cards, spec=DeckSpec(n_ranks, copies))
+    return Deck(cards=cards)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +331,17 @@ class RngStream:
 
 
 def deal_uniform(
-    deck: Deck, size_a: int, rng: RngStream, ordered: bool = False
+    deck: Deck, size_a: Optional[int], rng: RngStream, ordered: bool = False
 ) -> GameState:
-    """Deal a uniformly random initial state with ``size_a`` cards for A.
+    """Deal a uniformly random initial state with ``size_a`` cards for A,
+    half the deck (rounded down) when ``size_a`` is None.
 
     The first hand is a uniform subset of the stated size; with
     ``ordered=True`` both hands are additionally uniform random
     permutations of their sets (the shuffle-and-split distribution).
     """
+    if size_a is None:
+        size_a = deck.size // 2
     if not 0 <= size_a <= deck.size:
         raise ValueError(
             f"size_a must lie in [0, {deck.size}], got {size_a}"

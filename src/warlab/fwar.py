@@ -180,29 +180,28 @@ def fwar_run(
 # ---------------------------------------------------------------------------
 
 
-def deal_iid(n: int, rng: RngStream) -> GameState:
-    """Every card goes to the first player with an independent fair coin;
-    both hands are then uniformly permuted. Either hand may be empty, in
-    which case the game is absorbed at round 0."""
-    a = []
+def _coin_deal(a: list, ids, rng: RngStream) -> GameState:
+    """Each card of ``ids`` joins the first hand ``a`` on a fair coin,
+    else the second; both hands are then uniformly permuted."""
     b = []
-    for i in range(n):
+    for i in ids:
         (a if rng.random() <= 0.5 else b).append(i)
     rng.shuffle(a)
     rng.shuffle(b)
     return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
+
+
+def deal_iid(n: int, rng: RngStream) -> GameState:
+    """Every card goes to the first player with an independent fair coin;
+    both hands are then uniformly permuted. Either hand may be empty, in
+    which case the game is absorbed at round 0."""
+    return _coin_deal([], range(n), rng)
 
 
 def deal_strongest(n: int, rng: RngStream) -> GameState:
     """The strongest card (rank n) goes to the first player, every other
     card by an independent fair coin; both hands uniformly permuted."""
-    a = [n - 1]
-    b = []
-    for i in range(n - 1):
-        (a if rng.random() <= 0.5 else b).append(i)
-    rng.shuffle(a)
-    rng.shuffle(b)
-    return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
+    return _coin_deal([n - 1], range(n - 1), rng)
 
 
 DEALS = ("uniform", "iid", "strongest")
@@ -273,9 +272,8 @@ class FwarConfig:
         if self.deal == "strongest":
             return deal_strongest(self.n, rng)
         if self.deal == "uniform":
-            deck, _ = built(self)
-            size_a = self.size_a if self.size_a is not None else self.n // 2
-            return deal_uniform(deck, size_a, rng, ordered=True)
+            return deal_uniform(built(self)[0], self.size_a, rng,
+                                ordered=True)
         raise ValueError(f"unknown deal {self.deal!r}; valid: {DEALS}")
 
     def run_trial(self, seed: int, stream_id: int) -> FwarTrace:

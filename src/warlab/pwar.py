@@ -140,8 +140,7 @@ class PwarConfig:
     def run_trial(self, seed: int, stream_id: int) -> TrialRecord:
         deck, rule = built(self)
         rng = RngStream(seed, stream_id)
-        size_a = self.size_a if self.size_a is not None else deck.size // 2
-        state = deal_uniform(deck, size_a, rng, ordered=False)
+        state = deal_uniform(deck, self.size_a, rng, ordered=False)
         return pwar_run(
             state,
             rule,

@@ -20,6 +20,7 @@ from .core import build_deck
 from .exact import (
     counting_identity,
     enumerate_fwar,
+    srw_oracle,
     verify_martingales,
     verify_uniform_preservation,
 )
@@ -191,10 +192,11 @@ def rounds_target(trials: int, seed: int, workers: int) -> list[dict]:
         ref = REFERENCE_ROUNDS[name]
         if name == "random_draw":
             # The random-draw model is pinned to its exact gambler's-ruin
-            # value 26*26=676 rather than the reference table's 625; the
-            # reproduce command prints why.
+            # value from a 26-card hand rather than the reference table's
+            # 625; the reproduce command prints why.
             sem = stats.std / math.sqrt(stats.n_trials)
-            checks = [("mean", stats.mean, 676.0, 3 * sem, "3 SE")]
+            exact_mean, _ = srw_oracle(52, 26)
+            checks = [("mean", stats.mean, exact_mean, 3 * sem, "3 SE")]
         else:
             tol = 0.10 if name == "war_ties" else 0.05
             metrics = ("mean", "median") if name == "war_ties" else ("mean",)
@@ -255,7 +257,7 @@ def scaling_target(trials: int, seed: int, workers: int) -> list[dict]:
             lo_bound - 1e-9 <= r.q_final / r.tau <= hi_bound + 1e-9
             for r in records if r.tau > 0
         )
-        mean_tau = sum(r.tau for r in records) / len(records)
+        mean_tau = summarize_records(records).mean
         means[n] = mean_tau
         model = f"shifted strengths, n={n}"
         rows.append(_comparison(

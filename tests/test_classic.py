@@ -15,7 +15,14 @@ from warlab.classic import (
     classic_step,
     deal_top_rank_conditioned,
 )
-from warlab.core import GameState, RngStream, build_deck, deal_uniform
+from warlab.core import (
+    WINNER_B,
+    GameState,
+    RngStream,
+    TrialRecord,
+    build_deck,
+    deal_uniform,
+)
 from warlab.stats import run_metadata, run_trials
 
 WAR = TiePolicy(kind="war_round")
@@ -264,6 +271,34 @@ class TestAcesTable:
         deck = build_deck((13, 4))
         with pytest.raises(ValueError):
             aces_win_table(deck, COIN, trials_per_cell=0, seed=0)
+
+    def test_rank_list_deck_same_rows(self):
+        """A deck built from its rank list gives the table of the same
+        deck built from (n_ranks, copies)."""
+        pair = build_deck((3, 4))
+        listed = build_deck(list(pair.ranks))
+        rows = [aces_win_table(deck, WAR, trials_per_cell=60, seed=8)
+                for deck in (pair, listed)]
+        assert len(rows[0]) == 5
+        assert rows[0] == rows[1]
+
+    def test_rejects_two_card_deck(self):
+        """A config would read the rank pair as (n_ranks, copies)."""
+        with pytest.raises(ValueError, match="at least three cards"):
+            aces_win_table(build_deck([1, 2]), COIN, trials_per_cell=5,
+                           seed=0)
+
+    def test_monotonicity_failure_names_stream_and_k(self, monkeypatch):
+        """A game lost by the holder of every top-rank card under coin
+        ties is an engine bug; the error names its stream id and k."""
+        monkeypatch.setattr(
+            "warlab.classic.classic_run",
+            lambda state, tie, deck, rng, **kw: TrialRecord(
+                3, WINNER_B, rng.stream_id),
+        )
+        cfg = ClassicConfig(deck=(3, 2), tie="coin_flip", top_rank_count=2)
+        with pytest.raises(RuntimeError, match=r"stream 17\b.*k=2"):
+            cfg.run_trial(4, 17)
 
 
 class TestWinnerBookkeeping:

@@ -292,6 +292,36 @@ class TestExact:
         assert payload["metadata"]["config"]["deck"] == "ranks:1,2,3,4"
         assert len(payload["states"]) == 2**4
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--trials", "3"],
+        ["exact", "--rule", "greater"],
+    ])
+    def test_two_rank_list_rejected(self, command, monkeypatch, capsys):
+        """A config reads a pair of ints as (n_ranks, copies), so the rank
+        list 5,3 would play a 15-card deck: both commands exit 2 naming
+        --deck before any trial or enumeration."""
+        def never(*args, **kwargs):
+            raise AssertionError("the deck was played")
+
+        monkeypatch.setattr(cli, "run_trials", never)
+        monkeypatch.setattr(exact, "enumerate_pwar", never)
+        rc = main([command[0], "--game", "pwar", "--deck", "5,3",
+                   *command[1:]])
+        assert rc == 2
+        assert "--deck 5,3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["99", "-1", "15"])
+    def test_uniform_size_checked_before_enumeration(self, size,
+                                                     monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the chain was enumerated")
+
+        monkeypatch.setattr(exact, "enumerate_pwar", never)
+        assert main(["exact", "--game", "pwar", "--deck", "14x1",
+                     "--uniform-size", size]) == 2
+        err = capsys.readouterr().err
+        assert f"--uniform-size must lie in [0, 14], got {size}" in err
+
     def test_oversized_deck_clean_error(self, capsys):
         rc = main([
             "exact", "--game", "pwar", "--rule", "coin",
