@@ -18,7 +18,12 @@ from .classic import ClassicConfig
 from .core import DEFAULT_MAX_ROUNDS, TRUNCATED, WINNER_A, WINNER_B, built
 from .fwar import DEALS, RETURN_ORDERS, FwarConfig, strongest_deal_win_prob
 from .pwar import PwarConfig
-from .reproduce import REFERENCE_MIN_HAND, REPRODUCE_TARGETS, VERIFY_SUITES
+from .reproduce import (
+    REFERENCE_MIN_HAND,
+    REFERENCE_ROUNDS,
+    REPRODUCE_TARGETS,
+    VERIFY_SUITES,
+)
 from .rules import RULE_NAMES, STRENGTH_KINDS
 from .stats import (
     default_workers,
@@ -350,11 +355,15 @@ def cmd_reproduce(args) -> int:
             f" tol={r['tolerance']:<15} {status}"
         )
     if target == "rounds":
+        from .exact import srw_oracle
+
+        exact_mean, _ = srw_oracle(52, 26)
         print(
             "note: the random-draw model is checked against its exact "
-            "value 676 = 26*26; the reference table's 625 matches a walk "
-            "stopped when a hand drops below 2 cards, the convention the "
-            "top-card models above reproduce."
+            f"value {exact_mean:g} (a fair walk from 26 of 52 cards); the "
+            f"reference table's {REFERENCE_ROUNDS['random_draw']['mean']:g}"
+            " matches a walk stopped when a hand drops below 2 cards, the "
+            "convention the top-card models above reproduce."
         )
     failed = sum(not r["pass"] for r in rows)
     print(f"{len(rows) - failed}/{len(rows)} comparisons passed")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
@@ -61,6 +62,24 @@ class Deck:
     def has_repeated_ranks(self) -> bool:
         ranks = self.ranks
         return len(set(ranks)) != len(ranks)
+
+    @cached_property
+    def _pair_tables(self) -> dict:
+        return {}
+
+    def pair_table(self, rule: WinningRule) -> PairTable:
+        """This deck's :class:`PairTable` for ``rule``, made on first use
+        and kept on the deck: a lookup hashes the rule, never the deck, and
+        an ad-hoc rule lives no longer than the deck it was played on."""
+        tables = self._pair_tables
+        table = tables.get(rule)
+        if table is None:
+            table = tables[rule] = PairTable(rule, self)
+        return table
+
+    def __getstate__(self):
+        # Pair tables hold rule callables, which need not pickle.
+        return {"cards": self.cards}
 
 
 def build_deck(spec: Sequence[int]) -> Deck:
@@ -191,13 +210,20 @@ class WinningRule:
 
     ``reads`` declares what ``eval`` depends on besides the deck:
 
-    - ``"cards"``: the two played cards only; engines pass an empty ``s``
-      and exact enumeration evaluates each card pair once;
-    - ``"size"``: the two cards and ``len(s)``; exact enumeration
-      evaluates each card pair once per hand size, on one legal ``s``;
-    - ``"hand"`` (the default): the set ``s`` itself.
+    - ``"cards"``: the two played cards only; ``eval`` is called once per
+      card pair, with an empty ``s``;
+    - ``"size"``: the two cards and ``len(s)``; ``eval`` is called once per
+      card pair and hand size k, on the canonical ``s`` of the lowest k-1
+      ids other than the two cards;
+    - ``"hand"`` (the default): the set ``s`` itself; ``eval`` is called
+      with the real rest of the hand, every round and every state.
 
-    :func:`warlab.rules.validate_rule` checks the declaration. The older
+    The Monte Carlo engine and exact enumeration both rely on the
+    declaration: for ``"cards"`` and ``"size"`` rules they read p from the
+    deck's :class:`PairTable`, so a rule that reads more than it declares
+    is silently evaluated on the wrong ``s``.
+    :func:`warlab.rules.validate_rule` checks the declaration exactly
+    (``RuleReport.reads_witness``, and ``verify rules``). The older
     boolean ``uses_hand`` is still accepted by the constructor (True means
     ``"hand"``, False ``"cards"``) and read as ``reads != "cards"``.
     """
@@ -221,6 +247,66 @@ class WinningRule:
     @property
     def uses_hand(self) -> bool:
         return self.reads != "cards"
+
+
+class PairTable:
+    """``rule.eval`` of one rule on one deck, for a rule that reads at
+    most the hand size, each entry computed on first read.
+
+    ``by_size[k]``, for hand sizes k = 1..d-1, is a flat table of d*d
+    floats: p of card ``a`` against card ``b`` sits at ``a * d + b`` and
+    is NaN until :meth:`fill` computes it; the diagonal (a card against
+    itself) is 0. A ``"cards"`` rule has one table, a list shared by
+    every k and filled with an empty ``s``. A ``"size"`` rule has one
+    ``array('d')`` per k (d^3 doubles in all), filled with the canonical
+    rest of a size-k hand: the lowest k-1 ids other than a and b. The
+    Monte Carlo engine and exact enumeration both read p from here, so
+    they share one evaluation per entry.
+    """
+
+    __slots__ = ("rule", "deck", "by_size")
+
+    def __init__(self, rule: WinningRule, deck: Deck):
+        if rule.reads == "hand":
+            raise ValueError(f"rule {rule.name!r} reads the hand")
+        d = deck.size
+        unfilled = array("d", [math.nan]) * (d * d)
+        unfilled[::d + 1] = array("d", [0.0]) * d
+        self.rule = rule
+        self.deck = deck
+        if rule.reads == "cards":
+            # One small table: a list reads faster than an array, which
+            # boxes a new float on every read.
+            self.by_size = [unfilled.tolist()] * (d + 1)
+        else:
+            self.by_size = ([None] + [array("d", unfilled)
+                                      for _ in range(1, d)] + [None])
+
+    def fill(self, a_id: int, b_id: int, k: int) -> float:
+        """Evaluate, store and return p of ``a_id`` against ``b_id`` at
+        hand size ``k``."""
+        deck = self.deck
+        if self.rule.reads == "cards":
+            s = frozenset()
+        else:
+            rest = [i for i in range(k + 1) if i != a_id and i != b_id]
+            s = frozenset(rest[:k - 1])
+        cards = deck.cards
+        p = self.rule.eval(cards[a_id], cards[b_id], s, deck)
+        self.by_size[k][a_id * deck.size + b_id] = p
+        return p
+
+    def filled(self, k: int) -> Sequence[float]:
+        """``by_size[k]`` with every entry filled, in ascending (a, b)
+        order."""
+        table = self.by_size[k]
+        total = sum(table)
+        if total != total:  # some entry is still NaN
+            d = self.deck.size
+            for i, p in enumerate(table):
+                if p != p:
+                    self.fill(i // d, i % d, k)
+        return table
 
 
 @dataclass(frozen=True)

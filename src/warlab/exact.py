@@ -15,9 +15,10 @@ is the index); top-card states are rows of card ids, the first hand then
 the second, sorted as the ordered hand pairs sort.
 
 Both chains are built with numpy. Random-draw transitions come one hand
-size at a time from a table of ``rule.eval`` over card pairs (once for
-rules that read only the cards, once per hand size for rules that read
-only its size, per state for rules that read the hand); top-card states
+size at a time from the deck's pair table of ``rule.eval``, the one the
+Monte Carlo engine reads (once per card pair for rules that read only
+the cards, once per pair and hand size for rules that read only its
+size; per state for rules that read the hand); top-card states
 are sorted by an integer code and their successors found by searching
 the codes. Every round moves the first hand's size by one, so each chain
 is bipartite between odd and even hand sizes: the two blocks between the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -169,36 +170,22 @@ def _sizes(d: int) -> np.ndarray:
 
 
 def _pair_table(deck: Deck, rule: WinningRule, k: int) -> np.ndarray:
-    """``rule.eval(a, b, s)`` for every ordered pair of distinct card ids
-    as a d x d array, for a rule that reads at most the hand size: ``s``
-    is empty for a ``"cards"`` rule and, for a ``"size"`` rule, the
-    lowest k-1 ids of the deck other than a and b (a legal rest of a
-    size-k hand)."""
+    """p of every ordered pair of distinct card ids at hand size ``k``, as
+    a d x d array with a zero diagonal, for a rule that reads at most the
+    hand size: a copy of the deck's :class:`~warlab.core.PairTable`, the
+    one the Monte Carlo engine reads, with its missing entries filled."""
     d = deck.size
-    cards = deck.cards
-    table = np.zeros((d, d))
-    for a_id in range(d):
-        for b_id in range(d):
-            if a_id == b_id:
-                continue
-            if rule.reads == "cards":
-                s = frozenset()
-            else:
-                rest = [i for i in range(d) if i != a_id and i != b_id]
-                s = frozenset(rest[:k - 1])
-            table[a_id, b_id] = rule.eval(cards[a_id], cards[b_id], s, deck)
-    return table
+    return np.array(deck.pair_table(rule).filled(k)).reshape(d, d)
 
 
-def _pwar_rows(deck: Deck, rule: WinningRule, k: int, masks: np.ndarray,
-               table: Optional[np.ndarray] = None) -> tuple:
+def _pwar_rows(deck: Deck, rule: WinningRule, k: int,
+               masks: np.ndarray) -> tuple:
     """Transitions out of the size-k random-draw states ``masks``.
 
     Each of the k(d-k) card pairs is drawn with probability 1/(k(d-k)),
     then resolved by the rule with probability p[a, b]. A ``"hand"`` rule
     makes one ``eval`` per state and pair with the rest of the hand as
-    ``s``; the others take p from :func:`_pair_table` (``table``, when
-    given, is a ``"cards"`` rule's table reused across sizes). Returns
+    ``s``; the others take p from :func:`_pair_table`. Returns
     the next masks and their probabilities as two (len(masks), d) arrays,
     one row per state with its d distinct successors in the order the
     pairs first reach them: win(b0), lose(a0), win(b1..), lose(a1..) over
@@ -220,9 +207,7 @@ def _pwar_rows(deck: Deck, rule: WinningRule, k: int, masks: np.ndarray,
                 for j, b_id in enumerate(b_row):
                     p[m, i, j] = ev(cards[a_id], cards[b_id], s, deck)
     else:
-        if table is None:
-            table = _pair_table(deck, rule, k)
-        p = table[a[:, :, None], b[:, None, :]]
+        p = _pair_table(deck, rule, k)[a[:, :, None], b[:, None, :]]
     base = 1.0 / (k * (d - k))
     win = np.zeros((n, d - k))
     for i in range(k):
@@ -265,11 +250,9 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
     sizes = _sizes(d)
     cols = np.zeros((n_states, d), dtype=np.int64)
     probs = np.zeros((n_states, d))
-    cards_table = _pair_table(deck, rule, 1) if rule.reads == "cards" else None
     for k in range(1, d):
         masks = np.flatnonzero(sizes == k)
-        cols[masks], probs[masks] = _pwar_rows(deck, rule, k, masks,
-                                               cards_table)
+        cols[masks], probs[masks] = _pwar_rows(deck, rule, k, masks)
     space = StateSpace(
         flavor="pwar_subsets",
         states=np.arange(n_states, dtype=np.int64),

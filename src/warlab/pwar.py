@@ -34,13 +34,15 @@ from .core import (
     deal_uniform,
 )
 
-_EMPTY: frozenset = frozenset()
-
-
 def _play(state, rule, deck, rng, max_rounds, record_trace):
     """The play loop: from ``state``, play until a hand empties or
     ``max_rounds`` rounds are played. Returns the final hands (ascending id
-    lists) and the game's record."""
+    lists) and the game's record.
+
+    A ``"hand"`` rule is evaluated every round on the real rest of A's
+    hand; any other rule's p is read from the deck's pair table at the
+    current hand size and evaluated only the first time an entry is
+    read."""
     if state.ordered:
         raise ValueError("random-draw war uses unordered (set) hands")
     ha = sorted(state.hand_a)
@@ -48,20 +50,28 @@ def _play(state, rule, deck, rng, max_rounds, record_trace):
     size = deck.size
     cards = deck.cards
     ev = rule.eval
-    reads_hand = rule.reads != "cards"
+    if rule.reads == "hand":
+        by_size = None
+    else:
+        table = deck.pair_table(rule)
+        by_size = table.by_size
+        fill = table.fill
     rand = rng.random
     traj = [len(ha)] if record_trace else None
     rounds = 0
     while ha and hb and rounds < max_rounds:
-        ia = int(rand() * len(ha))
+        k = len(ha)
+        ia = int(rand() * k)
         ib = int(rand() * len(hb))
         a_id = ha[ia]
         b_id = hb[ib]
-        if reads_hand:
-            s = frozenset(x for x in ha if x != a_id)
+        if by_size is None:
+            p = ev(cards[a_id], cards[b_id],
+                   frozenset(x for x in ha if x != a_id), deck)
         else:
-            s = _EMPTY
-        p = ev(cards[a_id], cards[b_id], s, deck)
+            p = by_size[k][a_id * size + b_id]
+            if p != p:
+                p = fill(a_id, b_id, k)
         if rand() <= p:
             hb.pop(ib)
             insort(ha, b_id)

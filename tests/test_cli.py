@@ -358,7 +358,7 @@ class TestVerify:
 
 
 class TestReproduce:
-    def test_rounds_small(self, tmp_path):
+    def test_rounds_small(self, tmp_path, capsys):
         """All nine comparisons pass at 4000 trials with this seed; the
         statistical windows are wide enough that this is not marginal."""
         out = str(tmp_path / "rounds.csv")
@@ -367,6 +367,9 @@ class TestReproduce:
             "--workers", "2", "--out", out,
         ])
         assert rc == 0
+        assert ("checked against its exact value 676 (a fair walk from 26 "
+                "of 52 cards); the reference table's 625 matches"
+                in capsys.readouterr().out)
         meta, rows = read_csv_with_metadata(out)
         assert meta["target"] == "rounds"
         assert meta["trials"] == 4000

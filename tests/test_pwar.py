@@ -1,13 +1,29 @@
 """Tests for the random-draw war engine."""
 
 import math
+import pickle
+from bisect import insort
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from warlab.core import GameState, RngStream, build_deck, deal_uniform
-from warlab.exact import srw_oracle
+from warlab import rules
+from warlab.core import (
+    GameState,
+    PairTable,
+    RngStream,
+    TrialRecord,
+    WinningRule,
+    build_deck,
+    deal_uniform,
+)
+from warlab.exact import _pair_table, srw_oracle
 from warlab.pwar import PwarConfig, pwar_run, pwar_step
 from warlab.rules import (
+    RULE_NAMES,
+    rule_by_name,
     rule_coin,
     rule_greater_tiecoin,
     rule_max_holder,
@@ -205,3 +221,215 @@ class TestPwarConfig:
     def test_counterexample_streams_differ(self):
         cfg = PwarConfig(deck=(13, 4), rule="greater-tiecoin")
         assert cfg.run_trial(9, 4) != cfg.run_trial(9, 5)
+
+
+def _reference_play(state, rule, deck, rng, max_rounds, record_trace):
+    """Reference for the engine: the loop that calls ``rule.eval`` every
+    round, on the real rest of A's hand (empty for a ``"cards"`` rule).
+    Returns the final hands and the record, as the engine's loop does."""
+    ha = sorted(state.hand_a)
+    hb = sorted(state.hand_b)
+    cards = deck.cards
+    traj = [len(ha)]
+    rounds = 0
+    while ha and hb and rounds < max_rounds:
+        ia = int(rng.random() * len(ha))
+        ib = int(rng.random() * len(hb))
+        a_id = ha[ia]
+        b_id = hb[ib]
+        if rule.reads == "cards":
+            s = frozenset()
+        else:
+            s = frozenset(x for x in ha if x != a_id)
+        p = rule.eval(cards[a_id], cards[b_id], s, deck)
+        if rng.random() <= p:
+            hb.pop(ib)
+            insort(ha, b_id)
+        else:
+            ha.pop(ia)
+            insort(hb, a_id)
+        rounds += 1
+        traj.append(len(ha))
+    if ha and hb:
+        winner = "Truncated"
+    else:
+        winner = "A" if ha else "B"
+    record = TrialRecord(rounds, winner, rng.stream_id,
+                         tuple(traj) if record_trace else None)
+    return ha, hb, record
+
+
+def _oscillator():
+    """Valid, declared ``"size"``, never absorbing: the smaller hand
+    always takes the pair."""
+
+    def ev(a, b, s, deck):
+        half = deck.size // 2
+        if len(s) < half - 1:
+            return 1.0
+        if len(s) > half - 1:
+            return 0.0
+        return 0.5
+
+    return WinningRule(name="oscillator", eval=ev, reads="size")
+
+
+def _rule(name):
+    return _oscillator() if name == "oscillator" else rule_by_name(name)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of the ``ValueError`` it raised:
+    ``greater`` and ``max-holder`` raise on tied ranks, and both loops
+    must."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err)
+
+
+def _step_states(init, rule, deck, rng, n):
+    """Up to ``n`` states reached by iterating ``step(state)``."""
+    out = []
+    state = init
+    while len(out) < n and not state.is_absorbing:
+        state = pwar_step(state, rule, deck, rng)
+        out.append(state)
+    return out
+
+
+def _reference_step_states(init, rule, deck, rng, n):
+    out = []
+    state = init
+    while len(out) < n and not state.is_absorbing:
+        ha, hb, _ = _reference_play(state, rule, deck, rng, 1, False)
+        state = GameState(frozenset(ha), frozenset(hb), state.round + 1)
+        out.append(state)
+    return out
+
+
+class TestTableEngineMatchesReference:
+    """The engine reads p from the deck's pair table; its records must
+    equal the per-round-eval loop's field for field."""
+
+    @given(
+        ranks=st.lists(st.integers(1, 6), min_size=2, max_size=12),
+        name=st.sampled_from(RULE_NAMES + ("oscillator",)),
+        seed=st.integers(0, 2**32),
+        stream=st.integers(0, 10**6),
+        record_trace=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_records_identical(self, ranks, name, seed, stream,
+                               record_trace):
+        """Three games on one deck, so later games read a table the
+        earlier ones filled; capped rounds cover truncation."""
+        deck = build_deck(ranks)
+        rule = _rule(name)
+        for sid in range(stream, stream + 3):
+            init = deal_uniform(deck, None, RngStream(seed, sid))
+            got = _outcome(pwar_run, init, rule, deck, RngStream(seed, sid),
+                           300, record_trace)
+            want = _outcome(
+                lambda *a: _reference_play(*a)[2],
+                init, rule, deck, RngStream(seed, sid), 300, record_trace)
+            assert got == want
+
+    @given(
+        ranks=st.lists(st.integers(1, 6), min_size=2, max_size=10),
+        name=st.sampled_from(RULE_NAMES + ("oscillator",)),
+        stream=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_iterated_steps_identical(self, ranks, name, stream):
+        deck = build_deck(ranks)
+        rule = _rule(name)
+        init = deal_uniform(deck, None, RngStream(3, stream))
+        got = _outcome(_step_states, init, rule, deck, RngStream(5, stream),
+                       60)
+        want = _outcome(_reference_step_states, init, rule, deck,
+                        RngStream(5, stream), 60)
+        assert got == want
+
+    @pytest.mark.parametrize("name", ["powered", "greater-tiecoin",
+                                      "max-holder", "oscillator"])
+    def test_52_card_games_identical(self, name):
+        """30 games on one 52-card deck, the benchmark's size."""
+        deck = build_deck((52, 1))
+        rule = _rule(name)
+        for sid in range(30):
+            init = deal_uniform(deck, None, RngStream(17, sid))
+            assert pwar_run(init, rule, deck, RngStream(17, sid), 2000,
+                            True) == _reference_play(
+                init, rule, deck, RngStream(17, sid), 2000, True)[2]
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("name", ["powered", "greater-tiecoin", "coin"])
+    def test_build_makes_no_eval_call(self, monkeypatch, name):
+        """``PwarConfig.build`` (what ``setup_s`` times) leaves the table
+        to the first game."""
+        calls = []
+        make = rules.rule_by_name
+
+        def counting_rule_by_name(*args, **kwargs):
+            rule = make(*args, **kwargs)
+            inner = rule.eval
+
+            def ev(a, b, s, deck):
+                calls.append(1)
+                return inner(a, b, s, deck)
+
+            return WinningRule(name=rule.name, eval=ev, reads=rule.reads)
+
+        monkeypatch.setattr(rules, "rule_by_name", counting_rule_by_name)
+        cfg = PwarConfig(deck=(52, 1), rule=name, size_a=26)
+        deck, rule = cfg.build()
+        assert calls == []
+        rng = RngStream(1, 0)
+        pwar_run(deal_uniform(deck, 26, rng), rule, deck, rng)
+        assert calls
+
+    @pytest.mark.parametrize("spec", [(6, 1), (3, 2)])
+    def test_powered_entries_equal_exact_table(self, spec):
+        """Entries the games filled one at a time equal, with ==, the
+        exact builder's table of a fresh deck; the exact builder then
+        reads the games' table."""
+        deck = build_deck(spec)
+        rule = rule_powered()
+        for sid in range(300):
+            rng = RngStream(23, sid)
+            pwar_run(deal_uniform(deck, None, rng), rule, deck, rng)
+        fresh = build_deck(spec)
+        d = deck.size
+        for k in range(1, d):
+            games = np.array(deck.pair_table(rule).by_size[k]).reshape(d, d)
+            exact = _pair_table(fresh, rule, k)
+            seen = ~np.isnan(games)
+            assert seen.any(), k
+            assert (games[seen] == exact[seen]).all(), k
+            assert (_pair_table(deck, rule, k) == exact).all(), k
+
+    def test_one_table_per_rule_and_deck(self):
+        deck = build_deck((6, 1))
+        rule = rule_powered()
+        assert deck.pair_table(rule) is deck.pair_table(rule)
+        assert deck.pair_table(rule) is not deck.pair_table(rule_powered())
+        assert build_deck((6, 1)).pair_table(rule) is not \
+            deck.pair_table(rule)
+        coin = deck.pair_table(rule_coin())
+        assert all(t is coin.by_size[1] for t in coin.by_size)
+
+    def test_hand_rule_has_no_table(self):
+        with pytest.raises(ValueError, match="reads the hand"):
+            PairTable(rule_max_holder(), build_deck((4, 1)))
+
+    def test_deck_pickles_after_play(self):
+        """The tables hold rule closures; a deck pickles without them."""
+        deck = build_deck((8, 1))
+        rng = RngStream(2, 0)
+        pwar_run(deal_uniform(deck, None, rng), rule_powered(), deck, rng)
+        assert vars(deck)["_pair_tables"]
+        copy = pickle.loads(pickle.dumps(deck))
+        assert copy == deck
+        assert "_pair_tables" not in vars(copy)
