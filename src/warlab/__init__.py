@@ -66,20 +66,6 @@ from .classic import (
     classic_step,
     deal_top_rank_conditioned,
 )
-from .exact import (
-    AbsorptionError,
-    SolveResult,
-    StateSpace,
-    absorption_solve,
-    average_uniform_hands,
-    counting_identity,
-    enumerate_fwar,
-    enumerate_pwar,
-    srw_oracle,
-    strongest_deal_exact_win_prob,
-    verify_martingales,
-    verify_uniform_preservation,
-)
 from .stats import (
     HistogramData,
     SampleStats,
@@ -91,4 +77,42 @@ from .stats import (
     win_frequency,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: The names :mod:`warlab.exact` exports here. They load on first access
+#: (PEP 562), so ``import warlab`` and the Monte Carlo path never import
+#: numpy.
+_EXACT_NAMES = (
+    "AbsorptionError",
+    "SolveResult",
+    "StateSpace",
+    "absorption_solve",
+    "average_uniform_hands",
+    "counting_identity",
+    "enumerate_fwar",
+    "enumerate_pwar",
+    "srw_oracle",
+    "strongest_deal_exact_win_prob",
+    "verify_martingales",
+    "verify_uniform_preservation",
+)
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")}
+    | {"exact", *_EXACT_NAMES}
+)
+
+
+def __getattr__(name):
+    if name != "exact" and name not in _EXACT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    # import_module, not "from . import exact": the latter looks the
+    # submodule up as an attribute first and so re-enters this hook.
+    exact = import_module(".exact", __name__)
+    value = exact if name == "exact" else getattr(exact, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -233,8 +233,8 @@ def classic_run(
 def deal_top_rank_conditioned(
     deck: Deck, k: int, rng: RngStream
 ) -> GameState:
-    """Deal hands of deck.size/2 with the first player holding exactly
-    ``k`` cards of the strongest rank; the remaining cards fill both hands
+    """Deal ``deck.half`` cards to the first player, exactly ``k`` of them
+    of the strongest rank; the remaining cards fill both hands
     uniformly and each hand is uniformly shuffled."""
     top = deck.max_rank
     top_ids = [c.id for c in deck.cards if c.rank == top]
@@ -243,7 +243,7 @@ def deal_top_rank_conditioned(
         raise ValueError(
             f"k must lie in [0, {len(top_ids)}], got {k}"
         )
-    half = deck.size // 2
+    half = deck.half
     if half < k or len(others) < half - k:
         raise ValueError("deck too small for the requested conditioning")
     rng.shuffle(others)

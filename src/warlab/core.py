@@ -49,6 +49,12 @@ class Deck:
     def size(self) -> int:
         return len(self.cards)
 
+    @property
+    def half(self) -> int:
+        """The first hand's size in an even split: half the deck, rounded
+        down."""
+        return len(self.cards) // 2
+
     @cached_property
     def ranks(self) -> tuple[int, ...]:
         """Rank of each card, indexed by card id."""
@@ -420,14 +426,14 @@ def deal_uniform(
     deck: Deck, size_a: Optional[int], rng: RngStream, ordered: bool = False
 ) -> GameState:
     """Deal a uniformly random initial state with ``size_a`` cards for A,
-    half the deck (rounded down) when ``size_a`` is None.
+    ``deck.half`` when ``size_a`` is None.
 
     The first hand is a uniform subset of the stated size; with
     ``ordered=True`` both hands are additionally uniform random
     permutations of their sets (the shuffle-and-split distribution).
     """
     if size_a is None:
-        size_a = deck.size // 2
+        size_a = deck.half
     if not 0 <= size_a <= deck.size:
         raise ValueError(
             f"size_a must lie in [0, {deck.size}], got {size_a}"

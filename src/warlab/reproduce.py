@@ -17,13 +17,6 @@ import math
 
 from .classic import ClassicConfig, TiePolicy, aces_win_table
 from .core import build_deck
-from .exact import (
-    counting_identity,
-    enumerate_fwar,
-    srw_oracle,
-    verify_martingales,
-    verify_uniform_preservation,
-)
 from .fwar import FwarConfig
 from .pwar import PwarConfig
 from .rules import (
@@ -117,6 +110,8 @@ def rules_suite() -> list[dict]:
 
 def theorem_suite() -> list[dict]:
     """Symmetric rules map uniform hands of each size to uniform hands."""
+    from .exact import verify_uniform_preservation
+
     cases = []
     symmetric = [
         ("coin", None),
@@ -142,6 +137,8 @@ def theorem_suite() -> list[dict]:
 
 def martingales_suite() -> list[dict]:
     """M_t and M_t^2 - Q_t have zero drift in every top-card state."""
+    from .exact import enumerate_fwar, verify_martingales
+
     cases = []
     strengths = [
         strength_builtin("constant"),
@@ -160,6 +157,8 @@ def martingales_suite() -> list[dict]:
 
 def identity_suite() -> list[dict]:
     """The counting identity in exact rationals for n <= 20."""
+    from .exact import counting_identity
+
     ok = all(
         counting_identity(n, k)
         for n in range(1, 21)
@@ -184,6 +183,8 @@ VERIFY_SUITES = {
 
 def rounds_target(trials: int, seed: int, workers: int) -> list[dict]:
     """The four round-count models against REFERENCE_ROUNDS."""
+    from .exact import srw_oracle
+
     rows = []
     for name, config in ROUND_MODELS.items():
         stats = summarize_records(

@@ -9,16 +9,11 @@ order as well.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import multiprocessing
 import os
-import platform
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .core import DRAW, RNG_ALGORITHM, TRUNCATED, WINNER_A, WINNER_B
 
@@ -83,13 +78,11 @@ def run_trials(
     hi = stream_base + n_trials
     if workers == 1:
         return _run_chunk(config, seed, lo, hi)
+    import multiprocessing
+
     n_chunks = min(n_trials, workers * 4)
-    bounds = np.linspace(lo, hi, n_chunks + 1, dtype=int)
-    args = [
-        (config, seed, int(bounds[i]), int(bounds[i + 1]))
-        for i in range(n_chunks)
-        if bounds[i] < bounds[i + 1]
-    ]
+    bounds = [lo + (hi - lo) * i // n_chunks for i in range(n_chunks + 1)]
+    args = [(config, seed, bounds[i], bounds[i + 1]) for i in range(n_chunks)]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         parts = pool.starmap(_run_chunk, args)
@@ -138,12 +131,17 @@ def summarize(
     else:
         std = 0.0
     sem = std / math.sqrt(n)
-    arr = np.asarray(samples, dtype=float)
+    ordered = sorted(samples)
+    mid = n // 2
+    if n % 2:
+        median = float(ordered[mid])
+    else:
+        median = (float(ordered[mid - 1]) + float(ordered[mid])) / 2
     return SampleStats(
         n_trials=n + truncated_count + draw_count,
         mean=mean,
-        median=float(np.median(arr)),
-        max=float(arr.max()),
+        median=median,
+        max=float(ordered[-1]),
         std=std,
         ci95=(mean - _Z95 * sem, mean + _Z95 * sem),
         truncated_count=truncated_count,
@@ -182,6 +180,8 @@ def win_frequency(records: Iterable) -> float:
 
 def histogram(samples: Sequence[float], bin_count: int) -> HistogramData:
     """Equal-width bins over [min, max] (plot-ready; no rendering here)."""
+    import numpy as np
+
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
     if len(samples) == 0:
@@ -257,6 +257,10 @@ def fairness_test(
 def run_metadata(config=None, seed=None, n_trials=None, workers=None,
                  **extra) -> dict:
     """Everything needed to regenerate an output exactly."""
+    import platform
+
+    import numpy as np
+
     from . import __version__
 
     meta = {
@@ -292,6 +296,8 @@ def write_table_csv(path: str, header: Sequence[str],
     """CSV with comma delimiter, dot decimals, header row, newline-
     terminated records; metadata rides along as one leading '# ' comment
     line holding JSON."""
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if metadata is not None:
             fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
@@ -304,6 +310,8 @@ def write_table_csv(path: str, header: Sequence[str],
 def read_csv_with_metadata(path: str) -> tuple[Optional[dict], list]:
     """Inverse of :func:`write_table_csv`: (metadata dict or None, rows
     incl. header)."""
+    import csv
+
     metadata = None
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()

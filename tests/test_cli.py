@@ -582,3 +582,69 @@ class TestEntryPoints:
             "simulate", "--game", "pwar", "--deck", "6x1",
             "--trials", "5",
         ]) == 2
+
+
+#: The names ``warlab`` takes from ``warlab.exact``.
+_EXACT_NAMES = (
+    "AbsorptionError", "SolveResult", "StateSpace", "absorption_solve",
+    "average_uniform_hands", "counting_identity", "enumerate_fwar",
+    "enumerate_pwar", "srw_oracle", "strongest_deal_exact_win_prob",
+    "verify_martingales", "verify_uniform_preservation",
+)
+
+
+class TestLazyImports:
+    """``import warlab`` and the Monte Carlo path load no numpy; the exact
+    names load it on first access."""
+
+    def _loaded(self, code):
+        proc = _child("-c", "import sys\n" + code)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_monte_carlo_path_leaves_numpy_unloaded(self):
+        heavy = "print(*(m in sys.modules for m in " \
+                "('numpy', 'scipy', 'multiprocessing')))"
+        assert self._loaded(
+            "import warlab\n"
+            + heavy + "\n"
+            "from warlab import ClassicConfig, FwarConfig, PwarConfig\n"
+            "for config in (PwarConfig(deck=(6, 1), rule='powered'),\n"
+            "               FwarConfig(n=6, strength='shifted', deal='iid'),\n"
+            "               ClassicConfig(tie='coin_flip')):\n"
+            "    warlab.summarize_records(warlab.run_trials(config, 1, 1))\n"
+            + heavy + "\n"
+            "warlab.absorption_solve\n"
+            "print('numpy' in sys.modules)\n"
+        ) == ["False"] * 6 + ["True"]
+
+    def test_exact_module_loads_numpy(self):
+        assert self._loaded(
+            "import warlab\n"
+            "print(warlab.exact.__name__, 'numpy' in sys.modules)\n"
+        ) == ["warlab.exact", "True"]
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        assert self._loaded(
+            "import warlab.cli\n"
+            "print('numpy' in sys.modules)\n"
+        ) == ["False"]
+
+    def test_names_listed_before_first_use(self):
+        names = self._loaded(
+            "import warlab\n"
+            "print(*(n in dir(warlab) and n in warlab.__all__\n"
+            f"         for n in {_EXACT_NAMES!r}))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert names == ["True"] * len(_EXACT_NAMES) + ["False"]
+
+    def test_star_import_binds_exact_names(self):
+        namespace = {}
+        exec("from warlab import *", namespace)
+        for name in _EXACT_NAMES:
+            assert namespace[name] is getattr(exact, name), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            warlab.no_such_name

@@ -1,8 +1,12 @@
 """Tests for the Monte Carlo harness, summaries, fairness test, emitters."""
 
 import json
+import math
+import multiprocessing
 from collections import Counter
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from warlab.fwar import FwarConfig
 from warlab.pwar import PwarConfig
 from warlab.stats import (
     HistogramData,
+    SampleStats,
     fairness_test,
     histogram,
     run_metadata,
@@ -208,6 +213,101 @@ class TestRunTrials:
             stats = summarize([r.tau for r in records])
             hits += stats.ci95[0] <= expect <= stats.ci95[1]
         assert hits >= 90, f"coverage {hits}/100"
+
+
+def _numpy_summarize(samples, truncated_count=0, draw_count=0):
+    """The reference summary: ``summarize`` as it was computed with numpy,
+    its median from ``np.median`` and its max from ``ndarray.max``."""
+    n = len(samples)
+    mean = math.fsum(samples) / n
+    if n > 1:
+        std = math.sqrt(math.fsum((x - mean) ** 2 for x in samples) / (n - 1))
+    else:
+        std = 0.0
+    sem = std / math.sqrt(n)
+    arr = np.asarray(samples, dtype=float)
+    z95 = 1.959963984540054
+    return SampleStats(
+        n_trials=n + truncated_count + draw_count,
+        mean=mean,
+        median=float(np.median(arr)),
+        max=float(arr.max()),
+        std=std,
+        ci95=(mean - z95 * sem, mean + z95 * sem),
+        truncated_count=truncated_count,
+        draw_count=draw_count,
+    )
+
+
+#: Sample values: round counts are ints; finite floats are bounded so that
+#: squared deviations stay finite.
+_SAMPLE_VALUES = {
+    "int": st.integers(-10**9, 10**9),
+    "float": st.floats(-1e100, 1e100, allow_nan=False),
+}
+
+
+class _RecordingContext:
+    """Stands in for a fork context: its pool runs the chunks in order in
+    this process and keeps the arguments it was given."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def Pool(self, processes):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, args):
+        self.chunks.extend((lo, hi) for _, _, lo, hi in args)
+        return [func(*a) for a in args]
+
+
+class TestNumpyFreeSummaries:
+    @pytest.mark.parametrize("kind", sorted(_SAMPLE_VALUES))
+    @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_summarize_equals_numpy_reference(self, kind, parity, data):
+        size = 2 * data.draw(st.integers(1 - parity, 30)) + parity
+        samples = data.draw(st.lists(_SAMPLE_VALUES[kind], min_size=size,
+                                     max_size=size))
+        truncated = data.draw(st.integers(0, 5))
+        draws = data.draw(st.integers(0, 5))
+        got = summarize(samples, truncated, draws)
+        want = _numpy_summarize(samples, truncated, draws)
+        for field in fields(SampleStats):
+            assert getattr(got, field.name) == getattr(want, field.name), (
+                field.name)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunks_partition_trials(self, workers, monkeypatch):
+        """The chunks are non-empty, ascending and cover [lo, hi)."""
+        cfg = PwarConfig(deck=(6, 1), rule="coin")
+        for n_trials in range(1, 41):
+            ctx = _RecordingContext()
+            monkeypatch.setattr(multiprocessing, "get_context",
+                                lambda method: ctx)
+            run_trials(cfg, n_trials, seed=3, workers=workers, stream_base=5)
+            starts = [lo for lo, _ in ctx.chunks]
+            ends = [hi for _, hi in ctx.chunks]
+            assert starts[0] == 5 and ends[-1] == 5 + n_trials
+            assert starts[1:] == ends[:-1]
+            assert all(lo < hi for lo, hi in ctx.chunks)
+
+    def test_records_equal_for_one_two_three_workers(self):
+        cfg = PwarConfig(deck=(6, 1), rule="coin")
+        for n_trials in range(1, 41):
+            serial = run_trials(cfg, n_trials, seed=9)
+            for workers in (2, 3):
+                assert run_trials(cfg, n_trials, seed=9,
+                                  workers=workers) == serial, (
+                    n_trials, workers)
 
 
 class TestEmitters:
