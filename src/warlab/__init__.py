@@ -77,9 +77,29 @@ from .stats import (
     win_frequency,
 )
 
-#: The names :mod:`warlab.exact` exports here. They load on first access
-#: (PEP 562), so ``import warlab`` and the Monte Carlo path never import
-#: numpy.
+
+def _lazy_submodule(name):
+    """Register ``warlab.<name>`` in ``sys.modules`` without running it;
+    its code runs on the first attribute read (``importlib.util.LazyLoader``).
+
+    The module object is the one later filled, so whatever lists or patches
+    ``sys.modules`` before that read (a tracer, say) sees the real module.
+    """
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+#: :mod:`warlab.exact` and the names it exports here load numpy, so they
+#: run only on first use; ``import warlab`` and the Monte Carlo path never
+#: import numpy.
+exact = _lazy_submodule("exact")
 _EXACT_NAMES = (
     "AbsorptionError",
     "SolveResult",
@@ -96,20 +116,15 @@ _EXACT_NAMES = (
 )
 
 __all__ = sorted(
-    {name for name in dir() if not name.startswith("_")}
-    | {"exact", *_EXACT_NAMES}
+    {name for name in dir() if not name.startswith("_")} | set(_EXACT_NAMES)
 )
 
 
 def __getattr__(name):
-    if name != "exact" and name not in _EXACT_NAMES:
+    # PEP 562: called only for names not (yet) in this module's globals.
+    if name not in _EXACT_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    # import_module, not "from . import exact": the latter looks the
-    # submodule up as an attribute first and so re-enters this hook.
-    exact = import_module(".exact", __name__)
-    value = exact if name == "exact" else getattr(exact, name)
+    value = getattr(exact, name)
     globals()[name] = value
     return value
 

@@ -9,9 +9,11 @@ order as well.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
+import platform
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -257,8 +259,6 @@ def fairness_test(
 def run_metadata(config=None, seed=None, n_trials=None, workers=None,
                  **extra) -> dict:
     """Everything needed to regenerate an output exactly."""
-    import platform
-
     import numpy as np
 
     from . import __version__
@@ -296,8 +296,6 @@ def write_table_csv(path: str, header: Sequence[str],
     """CSV with comma delimiter, dot decimals, header row, newline-
     terminated records; metadata rides along as one leading '# ' comment
     line holding JSON."""
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if metadata is not None:
             fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
@@ -310,8 +308,6 @@ def write_table_csv(path: str, header: Sequence[str],
 def read_csv_with_metadata(path: str) -> tuple[Optional[dict], list]:
     """Inverse of :func:`write_table_csv`: (metadata dict or None, rows
     incl. header)."""
-    import csv
-
     metadata = None
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()

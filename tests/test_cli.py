@@ -636,14 +636,38 @@ class TestLazyImports:
             "print(*(n in dir(warlab) and n in warlab.__all__\n"
             f"         for n in {_EXACT_NAMES!r}))\n"
             "print('numpy' in sys.modules)\n"
+            "namespace = {}\n"
+            "exec('from warlab import *', namespace)\n"
+            "print('numpy' in sys.modules)\n"
+            "print(*(namespace[n] is getattr(sys.modules['warlab.exact'], n)\n"
+            f"         for n in {_EXACT_NAMES!r}))\n"
         )
-        assert names == ["True"] * len(_EXACT_NAMES) + ["False"]
+        assert names == (["True"] * len(_EXACT_NAMES) + ["False", "True"]
+                         + ["True"] * len(_EXACT_NAMES))
 
-    def test_star_import_binds_exact_names(self):
-        namespace = {}
-        exec("from warlab import *", namespace)
-        for name in _EXACT_NAMES:
-            assert namespace[name] is getattr(exact, name), name
+    def test_patches_before_first_use_reach_exact_calls(self):
+        # A tracer lists warlab's modules from sys.modules and rebinds a
+        # function in every one that holds it; warlab.exact must already be
+        # listed, so that the calls inside it are rebound too.
+        assert self._loaded(
+            "import warlab\n"
+            "mods = [m for k, m in sys.modules.items()\n"
+            "        if k == 'warlab' or k.startswith('warlab.')]\n"
+            "print('numpy' in sys.modules)\n"
+            "solve = warlab.exact.absorption_solve\n"
+            "calls = []\n"
+            "def counted(*args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    return solve(*args, **kwargs)\n"
+            "for m in mods:\n"
+            "    for attr, value in list(vars(m).items()):\n"
+            "        if value is solve:\n"
+            "            setattr(m, attr, counted)\n"
+            "from warlab.rules import strength_builtin\n"
+            "warlab.strongest_deal_exact_win_prob(3, "
+            "strength_builtin('identity'))\n"
+            "print(len(calls), warlab.absorption_solve is counted)\n"
+        ) == ["False", "1", "True"]
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
