@@ -83,8 +83,23 @@ class Deck:
             table = tables[rule] = PairTable(rule, self)
         return table
 
+    @cached_property
+    def _strength_tables(self) -> dict:
+        return {}
+
+    def strength_table(self, strength: StrengthFunction) -> tuple[float, ...]:
+        """f of each card, indexed by card id, made on first use and kept
+        on the deck as :meth:`pair_table` keeps its tables."""
+        tables = self._strength_tables
+        f_of = tables.get(strength)
+        if f_of is None:
+            fs = strength.table(self.max_rank)
+            f_of = tables[strength] = tuple(fs[r - 1] for r in self.ranks)
+        return f_of
+
     def __getstate__(self):
-        # Pair tables hold rule callables, which need not pickle.
+        # Pair and strength tables are keyed by rule and strength
+        # callables, which need not pickle.
         return {"cards": self.cards}
 
 

@@ -70,8 +70,7 @@ def _play(state, strength, deck, rng, max_rounds, return_order,
     if return_order not in RETURN_ORDERS:
         raise ValueError(f"return_order must be one of {RETURN_ORDERS}")
     n = deck.size
-    fs = strength.table(deck.max_rank)
-    f_of = [fs[r - 1] for r in deck.ranks]
+    f_of = deck.strength_table(strength)
     a = deque(state.hand_a)
     b = deque(state.hand_b)
     m = math.fsum(f_of[i] for i in a)

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import platform
+import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -58,6 +59,34 @@ def _run_chunk(config, seed: int, lo: int, hi: int) -> list:
     return [config.run_trial(seed, i) for i in range(lo, hi)]
 
 
+def _shares(lo: int, hi: int, workers: int) -> list:
+    """``[lo, hi)`` cut into ``min(workers, hi - lo)`` contiguous,
+    ascending shares whose sizes differ by at most one."""
+    n = min(workers, hi - lo)
+    bounds = [lo + (hi - lo) * i // n for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _serve_share(fd: int, config, seed: int, lo: int, hi: int) -> None:
+    """Body of a forked child: run trials ``lo..hi-1``, pickle
+    ``(ok, records or exception)`` into the pipe ``fd`` and leave with
+    ``os._exit``, so that none of the parent's exit handlers or buffered
+    output runs twice. Exit status 1 means nothing usable was written."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            payload = (True, _run_chunk(config, seed, lo, hi))
+        except BaseException as exc:
+            payload = (False, exc)
+        with os.fdopen(fd, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_trials(
     config,
     n_trials: int,
@@ -71,6 +100,12 @@ def run_trials(
     ``run_trial(seed, stream_id)``. Trial i uses stream id
     ``stream_base + i``; the output is ordered by trial index and is
     byte-identical across worker counts.
+
+    ``workers`` counts this process. With more than one, the trials are
+    cut into contiguous shares; a forked child runs each share after the
+    first and sends its records back through a pipe while this process
+    runs the first. An exception in any share is re-raised here with its
+    type and message, the lowest share's first, as a serial run would.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -80,15 +115,48 @@ def run_trials(
     hi = stream_base + n_trials
     if workers == 1:
         return _run_chunk(config, seed, lo, hi)
-    import multiprocessing
+    import pickle
+    import signal
 
-    n_chunks = min(n_trials, workers * 4)
-    bounds = [lo + (hi - lo) * i // n_chunks for i in range(n_chunks + 1)]
-    args = [(config, seed, bounds[i], bounds[i + 1]) for i in range(n_chunks)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
-        parts = pool.starmap(_run_chunk, args)
-    return [record for part in parts for record in part]
+    first, *rest = _shares(lo, hi, workers)
+    children = []  # (pid, read end of its pipe, share), in share order
+    running = set()
+    try:
+        for share in rest:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(w, config, seed, *share)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            running.add(pid)
+            children.append((pid, os.fdopen(r, "rb"), share))
+        records = _run_chunk(config, seed, *first)
+        for pid, pipe, (s_lo, s_hi) in children:
+            # Read to EOF before waiting: a child blocks on a full pipe.
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.discard(pid)
+            if code != 0 or not data:
+                raise RuntimeError(
+                    f"the worker for stream ids {s_lo}..{s_hi - 1} "
+                    f"exited with status {code}"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            records += value
+        return records
+    finally:
+        for _, pipe, _ in children:
+            pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def default_workers() -> int:
@@ -258,17 +326,27 @@ def fairness_test(
 
 def run_metadata(config=None, seed=None, n_trials=None, workers=None,
                  **extra) -> dict:
-    """Everything needed to regenerate an output exactly."""
-    import numpy as np
+    """Everything needed to regenerate an output exactly.
 
+    numpy's version is read from the loaded module, else from the
+    installed package's metadata, so that a Monte Carlo run loads no
+    numpy to name it."""
     from . import __version__
+
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        numpy_version = numpy.__version__
+    else:
+        from importlib.metadata import version
+
+        numpy_version = version("numpy")
 
     meta = {
         "package": "warlab",
         "version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": numpy_version,
     }
     if config is not None:
         meta["config"] = asdict(config) if hasattr(

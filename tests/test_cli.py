@@ -594,8 +594,9 @@ _EXACT_NAMES = (
 
 
 class TestLazyImports:
-    """``import warlab`` and the Monte Carlo path load no numpy; the exact
-    names load it on first access."""
+    """``import warlab`` and the Monte Carlo path, parallel runs included,
+    load no numpy or ``multiprocessing``; the exact names load numpy on
+    first access."""
 
     def _loaded(self, code):
         proc = _child("-c", "import sys\n" + code)
@@ -613,10 +614,21 @@ class TestLazyImports:
             "               FwarConfig(n=6, strength='shifted', deal='iid'),\n"
             "               ClassicConfig(tie='coin_flip')):\n"
             "    warlab.summarize_records(warlab.run_trials(config, 1, 1))\n"
+            "    warlab.run_trials(config, 4, 1, workers=2)\n"
             + heavy + "\n"
             "warlab.absorption_solve\n"
             "print('numpy' in sys.modules)\n"
         ) == ["False"] * 6 + ["True"]
+
+    def test_run_metadata_names_numpy_without_loading_it(self):
+        assert self._loaded(
+            "from warlab.stats import run_metadata\n"
+            "version = run_metadata()['numpy']\n"
+            "print('numpy' in sys.modules)\n"
+            "import numpy\n"
+            "print(version == numpy.__version__,\n"
+            "      run_metadata()['numpy'] == version)\n"
+        ) == ["False", "True", "True"]
 
     def test_exact_module_loads_numpy(self):
         assert self._loaded(

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import pickle
 
 import pytest
 
-from warlab.core import GameState, RngStream, build_deck
+from warlab.core import GameState, RngStream, StrengthFunction, build_deck
 from warlab.fwar import (
     FwarConfig,
     deal_iid,
@@ -212,6 +213,36 @@ class TestDeals:
             if len(state.hand_a) == 2:
                 seen.add(state.hand_a)
         assert len(seen) > 3
+
+
+class TestStrengthTable:
+    def test_one_table_per_strength_and_deck(self):
+        deck = build_deck([3, 1, 3, 2])
+        shifted = strength_builtin("shifted", shift=4)
+        table = deck.strength_table(shifted)
+        assert table == (7.0, 5.0, 7.0, 6.0)
+        assert deck.strength_table(shifted) is table
+        assert deck.strength_table(strength_builtin("identity")) == (
+            3.0, 1.0, 3.0, 2.0)
+        assert build_deck([3, 1, 3, 2]).strength_table(shifted) is not table
+
+    def test_non_positive_strength_rejected_on_every_call(self):
+        deck = build_deck((3, 1))
+        bad = StrengthFunction(name="bad", f=lambda r: r - 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-positive"):
+                deck.strength_table(bad)
+
+    def test_deck_pickles_after_play(self):
+        """The tables are keyed by strength closures; a deck pickles
+        without them."""
+        deck = build_deck((6, 1))
+        fwar_run(deal_iid(6, RngStream(3, 0)), strength_builtin("identity"),
+                 deck, RngStream(3, 1))
+        assert vars(deck)["_strength_tables"]
+        copy = pickle.loads(pickle.dumps(deck))
+        assert copy == deck
+        assert "_strength_tables" not in vars(copy)
 
 
 class TestClosedForms:

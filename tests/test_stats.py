@@ -2,7 +2,8 @@
 
 import json
 import math
-import multiprocessing
+import os
+import pickle
 from collections import Counter
 from dataclasses import fields
 
@@ -18,6 +19,7 @@ from warlab.fwar import FwarConfig
 from warlab.pwar import PwarConfig
 from warlab.stats import (
     HistogramData,
+    _shares,
     SampleStats,
     fairness_test,
     histogram,
@@ -158,8 +160,9 @@ class TestRunTrials:
 
     def test_identical_across_worker_counts(self):
         serial = run_trials(self.CFG, 200, seed=3)
-        parallel = run_trials(self.CFG, 200, seed=3, workers=4)
-        assert serial == parallel
+        for workers in (2, 3, 4, 5):
+            parallel = run_trials(self.CFG, 200, seed=3, workers=workers)
+            assert serial == parallel, workers
 
     def test_stream_base_offsets_ids(self):
         records = run_trials(self.CFG, 10, seed=3, stream_base=100)
@@ -215,6 +218,66 @@ class TestRunTrials:
         assert hits >= 90, f"coverage {hits}/100"
 
 
+class _TrialFailed(Exception):
+    pass
+
+
+class _FailsAt:
+    """Coin-rule trials on 6 cards, except that stream id ``bad`` raises."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def run_trial(self, seed, stream_id):
+        if stream_id == self.bad:
+            raise _TrialFailed(f"stream {stream_id} failed")
+        return TestRunTrials.CFG.run_trial(seed, stream_id)
+
+
+class TestFanOut:
+    """``run_trials`` with several workers: shares after the first run in
+    forked children, the first in the calling process."""
+
+    @pytest.mark.parametrize("bad", [15, 3], ids=["child", "caller"])
+    def test_exception_reraised_with_type_and_message(self, bad):
+        # Two workers cut 20 trials into shares 0..9 and 10..19.
+        with pytest.raises(_TrialFailed) as serial:
+            run_trials(_FailsAt(bad), 20, seed=1)
+        with pytest.raises(_TrialFailed) as parallel:
+            run_trials(_FailsAt(bad), 20, seed=1, workers=2)
+        assert str(parallel.value) == str(serial.value) == (
+            f"stream {bad} failed")
+
+    @pytest.mark.parametrize("bad", [None, 3, 10, 17])
+    def test_every_child_reaped(self, bad, monkeypatch):
+        forked = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        try:
+            records = run_trials(_FailsAt(bad), 20, seed=1, workers=3)
+        except _TrialFailed:
+            assert bad is not None
+        else:
+            assert bad is None and len(records) == 20
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_output_beyond_a_pipe_buffer(self):
+        cfg = PwarConfig(deck=(52, 1), rule="coin", record_trace=True)
+        serial = run_trials(cfg, 100, seed=4)
+        assert len(pickle.dumps(serial[50:])) > 64 * 1024
+        assert run_trials(cfg, 100, seed=4, workers=2) == serial
+
+
 def _numpy_summarize(samples, truncated_count=0, draw_count=0):
     """The reference summary: ``summarize`` as it was computed with numpy,
     its median from ``np.median`` and its max from ``ndarray.max``."""
@@ -247,27 +310,6 @@ _SAMPLE_VALUES = {
 }
 
 
-class _RecordingContext:
-    """Stands in for a fork context: its pool runs the chunks in order in
-    this process and keeps the arguments it was given."""
-
-    def __init__(self):
-        self.chunks = []
-
-    def Pool(self, processes):
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, func, args):
-        self.chunks.extend((lo, hi) for _, _, lo, hi in args)
-        return [func(*a) for a in args]
-
-
 class TestNumpyFreeSummaries:
     @pytest.mark.parametrize("kind", sorted(_SAMPLE_VALUES))
     @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
@@ -285,20 +327,17 @@ class TestNumpyFreeSummaries:
             assert getattr(got, field.name) == getattr(want, field.name), (
                 field.name)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_chunks_partition_trials(self, workers, monkeypatch):
-        """The chunks are non-empty, ascending and cover [lo, hi)."""
-        cfg = PwarConfig(deck=(6, 1), rule="coin")
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_chunks_partition_trials(self, workers):
+        """The shares are non-empty, ascending and cover [lo, hi)."""
         for n_trials in range(1, 41):
-            ctx = _RecordingContext()
-            monkeypatch.setattr(multiprocessing, "get_context",
-                                lambda method: ctx)
-            run_trials(cfg, n_trials, seed=3, workers=workers, stream_base=5)
-            starts = [lo for lo, _ in ctx.chunks]
-            ends = [hi for _, hi in ctx.chunks]
+            shares = _shares(5, 5 + n_trials, workers)
+            assert len(shares) == min(workers, n_trials)
+            starts = [lo for lo, _ in shares]
+            ends = [hi for _, hi in shares]
             assert starts[0] == 5 and ends[-1] == 5 + n_trials
             assert starts[1:] == ends[:-1]
-            assert all(lo < hi for lo, hi in ctx.chunks)
+            assert all(lo < hi for lo, hi in shares)
 
     def test_records_equal_for_one_two_three_workers(self):
         cfg = PwarConfig(deck=(6, 1), rule="coin")
