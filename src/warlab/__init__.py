@@ -13,6 +13,9 @@ systems, one-step uniformity preservation, martingale drifts, the counting
 identity) and :mod:`warlab.stats` runs seeded parallel Monte Carlo with
 summary statistics and chi-square fairness tests. The ``warlab`` command
 line exposes simulate / exact / verify / reproduce.
+
+numpy and scipy are imported inside the functions that use them, so
+``import warlab`` and the Monte Carlo path load neither.
 """
 
 __version__ = "0.1.0"
@@ -76,58 +79,20 @@ from .stats import (
     summarize_records,
     win_frequency,
 )
-
-
-def _lazy_submodule(name):
-    """Register ``warlab.<name>`` in ``sys.modules`` without running it;
-    its code runs on the first attribute read (``importlib.util.LazyLoader``).
-
-    The module object is the one later filled, so whatever lists or patches
-    ``sys.modules`` before that read (a tracer, say) sees the real module.
-    """
-    import importlib.util
-    import sys
-
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-#: :mod:`warlab.exact` and the names it exports here load numpy, so they
-#: run only on first use; ``import warlab`` and the Monte Carlo path never
-#: import numpy.
-exact = _lazy_submodule("exact")
-_EXACT_NAMES = (
-    "AbsorptionError",
-    "SolveResult",
-    "StateSpace",
-    "absorption_solve",
-    "average_uniform_hands",
-    "counting_identity",
-    "enumerate_fwar",
-    "enumerate_pwar",
-    "srw_oracle",
-    "strongest_deal_exact_win_prob",
-    "verify_martingales",
-    "verify_uniform_preservation",
+from . import exact
+from .exact import (
+    AbsorptionError,
+    SolveResult,
+    StateSpace,
+    absorption_solve,
+    average_uniform_hands,
+    counting_identity,
+    enumerate_fwar,
+    enumerate_pwar,
+    srw_oracle,
+    strongest_deal_exact_win_prob,
+    verify_martingales,
+    verify_uniform_preservation,
 )
 
-__all__ = sorted(
-    {name for name in dir() if not name.startswith("_")} | set(_EXACT_NAMES)
-)
-
-
-def __getattr__(name):
-    # PEP 562: called only for names not (yet) in this module's globals.
-    if name not in _EXACT_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(exact, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = sorted(name for name in dir() if not name.startswith("_"))

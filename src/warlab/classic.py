@@ -41,6 +41,7 @@ from .core import (
     built,
     deal_uniform,
 )
+from .stats import run_trials
 
 
 @dataclass(frozen=True)
@@ -329,8 +330,6 @@ def aces_win_table(
     the denominator and reported. Cell k uses stream ids starting at
     ``k * trials_per_cell`` so all cells are independent under one seed.
     """
-    from .stats import run_trials
-
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be at least 1")
     if deck.size == 2:  # a config reads a pair as (n_ranks, copies)

@@ -13,15 +13,16 @@ import json
 import sys
 from typing import Optional
 
-from . import __version__
+from . import __version__, exact
 from .classic import ClassicConfig
 from .core import DEFAULT_MAX_ROUNDS, TRUNCATED, WINNER_A, WINNER_B, built
 from .fwar import DEALS, RETURN_ORDERS, FwarConfig, strongest_deal_win_prob
 from .pwar import PwarConfig
 from .reproduce import (
     REFERENCE_MIN_HAND,
-    REFERENCE_ROUNDS,
+    REPRODUCE_NOTES,
     REPRODUCE_TARGETS,
+    REPRODUCE_TRIALS,
     VERIFY_SUITES,
 )
 from .rules import RULE_NAMES, STRENGTH_KINDS
@@ -222,16 +223,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    from .exact import (
-        _deal_win_prob,
-        absorption_solve,
-        average_uniform_hands,
-        enumerate_fwar,
-        enumerate_pwar,
-        solve_rows,
-        srw_oracle,
-    )
-
     ok = True
     summary = {}
     if args.game == "pwar":
@@ -243,11 +234,11 @@ def cmd_exact(args) -> int:
                              f"got {k}")
         inputs = {"deck": _deck_label(config.deck), "rule": rule.name,
                   "uniform_size": k}
-        space = enumerate_pwar(deck, rule)
-        result = absorption_solve(space)
+        space = exact.enumerate_pwar(deck, rule)
+        result = exact.absorption_solve(space)
         if k is not None:
-            mean_tau, mean_win = average_uniform_hands(space, result, k)
-            oracle_tau, oracle_win = srw_oracle(deck.size, k)
+            mean_tau, mean_win = exact.average_uniform_hands(space, result, k)
+            oracle_tau, oracle_win = exact.srw_oracle(deck.size, k)
             dev = max(abs(mean_tau - oracle_tau),
                       abs(mean_win - oracle_win))
             if args.rule == "max-holder":
@@ -274,10 +265,10 @@ def cmd_exact(args) -> int:
         _, strength = _fwar_config(args).build()
         inputs = {"n": args.n, "strength": strength.describe(),
                   "deal": args.deal}
-        space = enumerate_fwar(args.n, strength)
-        result = absorption_solve(space)
+        space = exact.enumerate_fwar(args.n, strength)
+        result = exact.absorption_solve(space)
         if args.deal == "strongest":
-            exact_p = _deal_win_prob(space, result, "strongest")
+            exact_p = exact._deal_win_prob(space, result, "strongest")
             formula_p = strongest_deal_win_prob(strength, args.n)
             dev = abs(exact_p - formula_p)
             ok = dev <= 1e-9
@@ -293,7 +284,7 @@ def cmd_exact(args) -> int:
                 f"{exact_p:.9f}, closed form {formula_p:.9f}, "
                 f"dev {dev:.2e} -> {'pass' if ok else 'FAIL'}"
             )
-    rows = list(solve_rows(space, result))
+    rows = list(exact.solve_rows(space, result))
     print(f"{len(rows)} states solved")
     solve = {"method": result.method, "residual": result.residual,
              "matvecs": result.matvecs, "states": space.n_states,
@@ -336,14 +327,9 @@ def cmd_verify(args) -> int:
 # reproduce
 # ---------------------------------------------------------------------------
 
-#: Each reproduce target's default ``--trials``: per round-count model,
-#: per strongest-count cell, per scaling size.
-_DEFAULT_TRIALS = {"rounds": 50000, "aces": 12000, "scaling": 20000}
-
-
 def cmd_reproduce(args) -> int:
     target = args.target
-    trials = _DEFAULT_TRIALS[target] if args.trials is None else args.trials
+    trials = REPRODUCE_TRIALS[target] if args.trials is None else args.trials
     if trials < 1:
         raise ValueError("--trials must be at least 1")
     rows = REPRODUCE_TARGETS[target](trials, args.seed, args.workers)
@@ -354,17 +340,8 @@ def cmd_reproduce(args) -> int:
             f"artifact={r['artifact']!s:<10} reference={r['reference']!s:<8}"
             f" tol={r['tolerance']:<15} {status}"
         )
-    if target == "rounds":
-        from .exact import srw_oracle
-
-        exact_mean, _ = srw_oracle(52, 26)
-        print(
-            "note: the random-draw model is checked against its exact "
-            f"value {exact_mean:g} (a fair walk from 26 of 52 cards); the "
-            f"reference table's {REFERENCE_ROUNDS['random_draw']['mean']:g}"
-            " matches a walk stopped when a hand drops below 2 cards, the "
-            "convention the top-card models above reproduce."
-        )
+    if target in REPRODUCE_NOTES:
+        print(REPRODUCE_NOTES[target])
     failed = sum(not r["pass"] for r in rows)
     print(f"{len(rows) - failed}/{len(rows)} comparisons passed")
     settings = {"trials": trials}
@@ -499,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trials per round-count model (rounds, default "
                           "{rounds}), per strongest-count cell (aces, "
                           "{aces}) or per size (scaling, {scaling})"
-                          .format(**_DEFAULT_TRIALS))
+                          .format(**REPRODUCE_TRIALS))
     return parser
 
 

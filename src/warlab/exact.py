@@ -26,23 +26,24 @@ halves are built once from the transition triplets, the
 almost-sure-absorption pre-check runs on them, and GMRES runs on the odd
 half alone. :func:`gmres` is written here over numpy (block
 Gram-Schmidt, Givens rotations in Python floats). Only sparse storage
-comes from scipy, imported where it is used: ``import warlab`` loads no
-``scipy.sparse``, and a solve loads ``scipy.sparse.linalg`` only when it
-falls back to sparse LU.
+comes from scipy. numpy and scipy are both imported inside the functions
+that use them, so importing this module loads neither; a solve loads
+``scipy.sparse.linalg`` only when it falls back to sparse LU.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core import Deck, StrengthFunction, WinningRule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Enumeration limits; both spaces grow superexponentially.
 MAX_PWAR_CARDS = 14
@@ -59,7 +60,7 @@ RESIDUAL_TOL = 1e-9
 GMRES_RTOL = 1e-14
 GMRES_RESTART = 20
 GMRES_MAXITER = 50
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon
 
 
 class AbsorptionError(ValueError):
@@ -135,6 +136,8 @@ def _check_transitions(space: StateSpace) -> None:
     """Reject, naming the state, a probability below 0, above 1 +
     ``ROW_SUM_TOL`` or NaN, or a non-absorbing row off 1 by more than
     that."""
+    import numpy as np
+
     probs = space.trans_probs
     bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0 + ROW_SUM_TOL)))
     if bad.size:
@@ -163,6 +166,8 @@ def _check_transitions(space: StateSpace) -> None:
 
 def _sizes(d: int) -> np.ndarray:
     """Hand size (popcount) of every mask of a ``d``-card deck."""
+    import numpy as np
+
     sizes = np.zeros(1 << d, dtype=np.int64)
     for i in range(d):
         sizes[1 << i:2 << i] = sizes[:1 << i] + 1
@@ -174,6 +179,8 @@ def _pair_table(deck: Deck, rule: WinningRule, k: int) -> np.ndarray:
     a d x d array with a zero diagonal, for a rule that reads at most the
     hand size: a copy of the deck's :class:`~warlab.core.PairTable`, the
     one the Monte Carlo engine reads, with its missing entries filled."""
+    import numpy as np
+
     d = deck.size
     return np.array(deck.pair_table(rule).filled(k)).reshape(d, d)
 
@@ -192,6 +199,8 @@ def _pwar_rows(deck: Deck, rule: WinningRule, k: int,
     ascending ids. The win mass of each b is summed over a ascending and
     the lose mass of each a over b ascending, one card column at a time.
     """
+    import numpy as np
+
     d = deck.size
     n = len(masks)
     held = (masks[:, None] >> np.arange(d)) & 1 == 1
@@ -235,6 +244,8 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
     ``rule.eval`` on each card pair once (``"cards"`` rules), once per
     hand size (``"size"``) or once per state (``"hand"``).
     """
+    import numpy as np
+
     d = deck.size
     if d > MAX_PWAR_CARDS:
         raise ValueError(
@@ -283,6 +294,8 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
     by digit arithmetic and their indices by a search of the sorted
     codes; the whole chain is built with numpy, one pass per k.
     """
+    import numpy as np
+
     if n > MAX_FWAR_N:
         raise ValueError(
             f"n={n} exceeds the n<={MAX_FWAR_N} enumeration limit "
@@ -355,6 +368,7 @@ def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     ``rows`` already ascend as the enumerators emit them, keeps each
     row's triplets in their order; a repeated (row, col) pair adds up in
     products."""
+    import numpy as np
     from scipy.sparse import csr_matrix
 
     order = np.argsort(rows, kind="stable")
@@ -386,6 +400,8 @@ def gmres(apply, b: np.ndarray) -> tuple[np.ndarray, int]:
     is 0 when ``|b - apply(x)| <= GMRES_RTOL |b|`` (2-norms),
     else 1. A zero ``b`` returns zeros without calling ``apply``.
     """
+    import numpy as np
+
     n = b.size
     b_norm = math.sqrt(b @ b)
     if b_norm == 0.0:
@@ -467,6 +483,8 @@ def absorption_solve(space: StateSpace) -> SolveResult:
     ``ValueError``. Only the live states' answers are kept, so boundary
     values stay exact.
     """
+    import numpy as np
+
     n = space.n_states
     live = ~space.absorbing
     win = space.absorbing_win.copy()
@@ -618,6 +636,8 @@ def verify_uniform_preservation(
     Only the size-k states are stepped, with the transitions
     ``enumerate_pwar`` builds for them (the same numpy builder).
     """
+    import numpy as np
+
     d = deck.size
     if d > 12:
         raise ValueError("uniformity check is limited to 12-card decks")
@@ -643,6 +663,8 @@ def counting_identity(n: int, k: int) -> bool:
 
     1/C(2n, k-1) * 1/C(2n-k+1, 2) * 1/2  ==  1/C(2n, k) * 1/k * 1/(2n-k)
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be positive")
     if not 1 <= k <= 2 * n - 1:
@@ -670,6 +692,8 @@ def verify_martingales(
     change in M^2 minus the round product f(a) f(b) must be 0. Returns
     the maximum absolute deviations (drift_m, drift_q).
     """
+    import numpy as np
+
     if space.flavor != "fwar_ordered":
         raise ValueError("martingale drifts need a top-card space")
     fs = np.asarray(strength.table(space.n_cards))
@@ -695,6 +719,8 @@ def _deal_win_prob(space: StateSpace, result: SolveResult,
     by the deal's law. Every card goes to the first hand by a fair coin
     (except the strongest, which ``strongest`` puts there) and both hands
     are uniformly permuted."""
+    import numpy as np
+
     n = space.n_cards
     k = space.hand_size
     strongest = deal == "strongest"

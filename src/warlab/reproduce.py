@@ -17,6 +17,13 @@ import math
 
 from .classic import ClassicConfig, TiePolicy, aces_win_table
 from .core import build_deck
+from .exact import (
+    counting_identity,
+    enumerate_fwar,
+    srw_oracle,
+    verify_martingales,
+    verify_uniform_preservation,
+)
 from .fwar import FwarConfig
 from .pwar import PwarConfig
 from .rules import (
@@ -45,6 +52,10 @@ REFERENCE_ACES = {
 
 #: Round-start playability threshold matching the reference tables.
 REFERENCE_MIN_HAND = 2
+
+#: The random-draw model's exact mean round count: a fair walk from 26 of
+#: 52 cards.
+RANDOM_DRAW_MEAN = srw_oracle(52, 26)[0]
 
 #: The four models of the round-count table, keyed as in REFERENCE_ROUNDS.
 ROUND_MODELS = {
@@ -110,8 +121,6 @@ def rules_suite() -> list[dict]:
 
 def theorem_suite() -> list[dict]:
     """Symmetric rules map uniform hands of each size to uniform hands."""
-    from .exact import verify_uniform_preservation
-
     cases = []
     symmetric = [
         ("coin", None),
@@ -137,8 +146,6 @@ def theorem_suite() -> list[dict]:
 
 def martingales_suite() -> list[dict]:
     """M_t and M_t^2 - Q_t have zero drift in every top-card state."""
-    from .exact import enumerate_fwar, verify_martingales
-
     cases = []
     strengths = [
         strength_builtin("constant"),
@@ -157,8 +164,6 @@ def martingales_suite() -> list[dict]:
 
 def identity_suite() -> list[dict]:
     """The counting identity in exact rationals for n <= 20."""
-    from .exact import counting_identity
-
     ok = all(
         counting_identity(n, k)
         for n in range(1, 21)
@@ -183,8 +188,6 @@ VERIFY_SUITES = {
 
 def rounds_target(trials: int, seed: int, workers: int) -> list[dict]:
     """The four round-count models against REFERENCE_ROUNDS."""
-    from .exact import srw_oracle
-
     rows = []
     for name, config in ROUND_MODELS.items():
         stats = summarize_records(
@@ -193,11 +196,11 @@ def rounds_target(trials: int, seed: int, workers: int) -> list[dict]:
         ref = REFERENCE_ROUNDS[name]
         if name == "random_draw":
             # The random-draw model is pinned to its exact gambler's-ruin
-            # value from a 26-card hand rather than the reference table's
-            # 625; the reproduce command prints why.
+            # value rather than the reference table's 625; the target's
+            # note says why.
             sem = stats.std / math.sqrt(stats.n_trials)
-            exact_mean, _ = srw_oracle(52, 26)
-            checks = [("mean", stats.mean, exact_mean, 3 * sem, "3 SE")]
+            checks = [("mean", stats.mean, RANDOM_DRAW_MEAN, 3 * sem,
+                       "3 SE")]
         else:
             tol = 0.10 if name == "war_ties" else 0.05
             metrics = ("mean", "median") if name == "war_ties" else ("mean",)
@@ -285,4 +288,19 @@ REPRODUCE_TARGETS = {
     "rounds": rounds_target,
     "aces": aces_target,
     "scaling": scaling_target,
+}
+
+#: Each target's default trial count: per round-count model, per
+#: strongest-count cell, per scaling size.
+REPRODUCE_TRIALS = {"rounds": 50000, "aces": 12000, "scaling": 20000}
+
+#: What ``reproduce`` prints after a target's rows, where it needs saying.
+REPRODUCE_NOTES = {
+    "rounds": (
+        "note: the random-draw model is checked against its exact value "
+        f"{RANDOM_DRAW_MEAN:g} (a fair walk from 26 of 52 cards); the "
+        f"reference table's {REFERENCE_ROUNDS['random_draw']['mean']:g} "
+        "matches a walk stopped when a hand drops below 2 cards, the "
+        "convention the top-card models above reproduce."
+    ),
 }

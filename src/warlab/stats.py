@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
+from . import __version__
 from .core import DRAW, RNG_ALGORITHM, TRUNCATED, WINNER_A, WINNER_B
 
 #: Two-sided 95% normal quantile for the CI of the mean.
@@ -96,16 +97,17 @@ def run_trials(
 ) -> list:
     """Run ``n_trials`` independent games of ``config``.
 
-    ``config`` is any picklable object exposing
-    ``run_trial(seed, stream_id)``. Trial i uses stream id
-    ``stream_base + i``; the output is ordered by trial index and is
-    byte-identical across worker counts.
+    ``config`` is any object exposing ``run_trial(seed, stream_id)``.
+    Trial i uses stream id ``stream_base + i``; the output is ordered by
+    trial index and is byte-identical across worker counts.
 
     ``workers`` counts this process. With more than one, the trials are
     cut into contiguous shares; a forked child runs each share after the
     first and sends its records back through a pipe while this process
-    runs the first. An exception in any share is re-raised here with its
-    type and message, the lowest share's first, as a serial run would.
+    runs the first. The children inherit ``config`` through the fork, so
+    only their records, or an exception, are pickled. An exception in
+    any share is re-raised here with its type and message, the lowest
+    share's first, as a serial run would.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -331,8 +333,6 @@ def run_metadata(config=None, seed=None, n_trials=None, workers=None,
     numpy's version is read from the loaded module, else from the
     installed package's metadata, so that a Monte Carlo run loads no
     numpy to name it."""
-    from . import __version__
-
     numpy = sys.modules.get("numpy")
     if numpy is not None:
         numpy_version = numpy.__version__

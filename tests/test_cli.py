@@ -594,9 +594,13 @@ _EXACT_NAMES = (
 
 
 class TestLazyImports:
-    """``import warlab`` and the Monte Carlo path, parallel runs included,
-    load no numpy or ``multiprocessing``; the exact names load numpy on
-    first access."""
+    """``import warlab``, ``import warlab.exact`` and the Monte Carlo
+    path, parallel runs included, load no numpy, scipy or
+    ``multiprocessing``; the first call of an exact function loads
+    numpy."""
+
+    heavy = ("print(*(m in sys.modules for m in "
+             "('numpy', 'scipy', 'multiprocessing')))")
 
     def _loaded(self, code):
         proc = _child("-c", "import sys\n" + code)
@@ -604,21 +608,17 @@ class TestLazyImports:
         return proc.stdout.split()
 
     def test_monte_carlo_path_leaves_numpy_unloaded(self):
-        heavy = "print(*(m in sys.modules for m in " \
-                "('numpy', 'scipy', 'multiprocessing')))"
         assert self._loaded(
             "import warlab\n"
-            + heavy + "\n"
+            + self.heavy + "\n"
             "from warlab import ClassicConfig, FwarConfig, PwarConfig\n"
             "for config in (PwarConfig(deck=(6, 1), rule='powered'),\n"
             "               FwarConfig(n=6, strength='shifted', deal='iid'),\n"
             "               ClassicConfig(tie='coin_flip')):\n"
             "    warlab.summarize_records(warlab.run_trials(config, 1, 1))\n"
             "    warlab.run_trials(config, 4, 1, workers=2)\n"
-            + heavy + "\n"
-            "warlab.absorption_solve\n"
-            "print('numpy' in sys.modules)\n"
-        ) == ["False"] * 6 + ["True"]
+            + self.heavy + "\n"
+        ) == ["False"] * 6
 
     def test_run_metadata_names_numpy_without_loading_it(self):
         assert self._loaded(
@@ -630,17 +630,26 @@ class TestLazyImports:
             "      run_metadata()['numpy'] == version)\n"
         ) == ["False", "True", "True"]
 
-    def test_exact_module_loads_numpy(self):
+    def test_first_exact_call_loads_numpy(self):
         assert self._loaded(
-            "import warlab\n"
-            "print(warlab.exact.__name__, 'numpy' in sys.modules)\n"
-        ) == ["warlab.exact", "True"]
+            "import importlib.util\n"
+            "import warlab.exact\n"
+            + self.heavy + "\n"
+            "print(isinstance(warlab.exact.__spec__.loader,\n"
+            "                 importlib.util.LazyLoader))\n"
+            "from warlab.core import build_deck\n"
+            "from warlab.rules import rule_coin\n"
+            "from warlab.exact import absorption_solve, enumerate_pwar\n"
+            "absorption_solve(enumerate_pwar(build_deck((4, 1)), "
+            "rule_coin()))\n"
+            "print('numpy' in sys.modules)\n"
+        ) == ["False"] * 4 + ["True"]
 
     def test_cli_import_leaves_numpy_unloaded(self):
         assert self._loaded(
             "import warlab.cli\n"
-            "print('numpy' in sys.modules)\n"
-        ) == ["False"]
+            + self.heavy + "\n"
+        ) == ["False"] * 3
 
     def test_names_listed_before_first_use(self):
         names = self._loaded(
@@ -650,11 +659,11 @@ class TestLazyImports:
             "print('numpy' in sys.modules)\n"
             "namespace = {}\n"
             "exec('from warlab import *', namespace)\n"
-            "print('numpy' in sys.modules)\n"
+            + self.heavy + "\n"
             "print(*(namespace[n] is getattr(sys.modules['warlab.exact'], n)\n"
             f"         for n in {_EXACT_NAMES!r}))\n"
         )
-        assert names == (["True"] * len(_EXACT_NAMES) + ["False", "True"]
+        assert names == (["True"] * len(_EXACT_NAMES) + ["False"] * 4
                          + ["True"] * len(_EXACT_NAMES))
 
     def test_patches_before_first_use_reach_exact_calls(self):
