@@ -41,7 +41,7 @@ from .core import (
     built,
     deal_uniform,
 )
-from .stats import run_trials
+from .stats import run_trials, tally
 
 
 @dataclass(frozen=True)
@@ -351,10 +351,8 @@ def aces_win_table(
             workers=workers,
             stream_base=k * trials_per_cell,
         )
-        wins = sum(1 for r in records if r.winner == WINNER_A)
-        draws = sum(1 for r in records if r.winner == DRAW)
-        truncated = sum(1 for r in records if r.winner == TRUNCATED)
-        decided = trials_per_cell - draws - truncated
+        taus, wins, draws, truncated = tally(records)
+        decided = len(taus)
         p = wins / decided if decided else float("nan")
         lo, hi = _clopper_pearson(wins, decided)
         rows.append(

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import __version__, exact
 from .classic import ClassicConfig
-from .core import DEFAULT_MAX_ROUNDS, TRUNCATED, WINNER_A, WINNER_B, built
+from .core import DEFAULT_MAX_ROUNDS, built
 from .fwar import DEALS, RETURN_ORDERS, FwarConfig, strongest_deal_win_prob
 from .pwar import PwarConfig
 from .reproduce import (
@@ -32,7 +32,7 @@ from .stats import (
     run_metadata,
     run_trials,
     summarize,
-    win_frequency,
+    tally,
     write_json,
     write_table_csv,
 )
@@ -177,9 +177,7 @@ def cmd_simulate(args) -> int:
     built(config)  # a bad rule or strength fails here, before any fork
     records = run_trials(config, args.trials, args.seed,
                          workers=args.workers)
-    taus = [r.tau for r in records if r.winner in (WINNER_A, WINNER_B)]
-    truncated = sum(r.winner == TRUNCATED for r in records)
-    draws = args.trials - len(taus) - truncated
+    taus, wins, draws, truncated = tally(records)
     # With no decided game the moments and win frequency stay None.
     row = dict.fromkeys(("n_trials", "mean", "median", "max", "std",
                          "ci95_lo", "ci95_hi", "truncated_count",
@@ -191,7 +189,7 @@ def cmd_simulate(args) -> int:
         stats = summarize(taus)
         row.update(mean=stats.mean, median=stats.median, max=stats.max,
                    std=stats.std, ci95_lo=stats.ci95[0],
-                   ci95_hi=stats.ci95[1], win_freq_a=win_frequency(records))
+                   ci95_hi=stats.ci95[1], win_freq_a=wins / len(taus))
         line = (f"mean={stats.mean:.2f}  median={stats.median:.1f}  "
                 f"max={stats.max:.0f}  std={stats.std:.2f}  "
                 f"P(A wins)={row['win_freq_a']:.4f}")

@@ -70,36 +70,34 @@ class Deck:
         return len(set(ranks)) != len(ranks)
 
     @cached_property
-    def _pair_tables(self) -> dict:
+    def _tables(self) -> dict:
         return {}
 
-    def pair_table(self, rule: WinningRule) -> PairTable:
-        """This deck's :class:`PairTable` for ``rule``, made on first use
-        and kept on the deck: a lookup hashes the rule, never the deck, and
-        an ad-hoc rule lives no longer than the deck it was played on."""
-        tables = self._pair_tables
-        table = tables.get(rule)
+    def _table(self, key, make: Callable):
+        """The table kept under ``key``, a rule or a strength, made by
+        ``make()`` on first use. A lookup hashes the key, never the deck,
+        and an ad-hoc key lives no longer than the deck it was used on."""
+        tables = self._tables
+        table = tables.get(key)
         if table is None:
-            table = tables[rule] = PairTable(rule, self)
+            table = tables[key] = make()
         return table
 
-    @cached_property
-    def _strength_tables(self) -> dict:
-        return {}
+    def pair_table(self, rule: WinningRule) -> PairTable:
+        """This deck's :class:`PairTable` for ``rule``."""
+        return self._table(rule, lambda: PairTable(rule, self))
 
     def strength_table(self, strength: StrengthFunction) -> tuple[float, ...]:
-        """f of each card, indexed by card id, made on first use and kept
-        on the deck as :meth:`pair_table` keeps its tables."""
-        tables = self._strength_tables
-        f_of = tables.get(strength)
-        if f_of is None:
+        """f of each card, indexed by card id: the engines' one source of
+        strengths, checked by :meth:`StrengthFunction.table`."""
+        def make():
             fs = strength.table(self.max_rank)
-            f_of = tables[strength] = tuple(fs[r - 1] for r in self.ranks)
-        return f_of
+            return tuple(fs[r - 1] for r in self.ranks)
+        return self._table(strength, make)
 
     def __getstate__(self):
-        # Pair and strength tables are keyed by rule and strength
-        # callables, which need not pickle.
+        # The tables are keyed by rule and strength callables, which need
+        # not pickle.
         return {"cards": self.cards}
 
 
@@ -339,13 +337,18 @@ class StrengthFunction:
     params: tuple = ()
 
     def table(self, max_rank: int) -> list[float]:
-        """Strengths ``[f(1), .., f(max_rank)]``, validated positive."""
-        values = [float(self.f(r)) for r in range(1, max_rank + 1)]
-        bad = [r + 1 for r, v in enumerate(values) if not v > 0]
+        """Strengths ``[f(1), .., f(max_rank)]``, validated positive and
+        finite; a value that overflows counts as infinite."""
+        values = []
+        for r in range(1, max_rank + 1):
+            try:
+                values.append(float(self.f(r)))
+            except OverflowError:
+                values.append(math.inf)
+        bad = [r + 1 for r, v in enumerate(values) if not 0 < v < math.inf]
         if bad:
-            raise ValueError(
-                f"strength {self.name!r} is non-positive at ranks {bad}"
-            )
+            raise ValueError(f"strength {self.name!r} is non-positive or "
+                             f"not finite at ranks {bad}")
         return values
 
     def describe(self) -> str:

@@ -263,6 +263,7 @@ class FwarConfig:
         strength = rules.strength_from_spec(
             self.strength, self.strength_param, self.n
         )
+        deck.strength_table(strength)  # a bad strength fails here
         return deck, strength
 
     def deal_state(self, rng: RngStream) -> GameState:

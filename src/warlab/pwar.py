@@ -145,6 +145,7 @@ class PwarConfig:
             strength = rules.strength_from_spec(
                 self.strength, self.strength_param, deck.max_rank
             )
+            deck.strength_table(strength)  # a bad strength fails here
         return deck, rules.rule_by_name(self.rule, strength)
 
     def run_trial(self, seed: int, stream_id: int) -> TrialRecord:

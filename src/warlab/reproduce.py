@@ -198,7 +198,8 @@ def rounds_target(trials: int, seed: int, workers: int) -> list[dict]:
             # The random-draw model is pinned to its exact gambler's-ruin
             # value rather than the reference table's 625; the target's
             # note says why.
-            sem = stats.std / math.sqrt(stats.n_trials)
+            decided = stats.n_trials - stats.truncated_count - stats.draw_count
+            sem = stats.std / math.sqrt(decided)
             checks = [("mean", stats.mean, RANDOM_DRAW_MEAN, 3 * sem,
                        "3 SE")]
         else:
@@ -275,11 +276,13 @@ def scaling_target(trials: int, seed: int, workers: int) -> list[dict]:
             in_bounds,
         ))
     for lo, hi in zip(sizes, sizes[1:]):
-        ratio = means[hi] / means[lo]
+        # A mean of 0 (every game dealt an empty hand) gives no ratio.
+        ratio = means[hi] / means[lo] if means[lo] else None
         rows.append(_comparison(
             "scaling", f"n={lo} -> n={hi}", "mean_tau ratio per doubling",
-            round(ratio, 3), 4.0, f"[{lo_ratio}, {hi_ratio}]", "window",
-            lo_ratio <= ratio <= hi_ratio,
+            None if ratio is None else round(ratio, 3), 4.0,
+            f"[{lo_ratio}, {hi_ratio}]", "window",
+            ratio is not None and lo_ratio <= ratio <= hi_ratio,
         ))
     return rows
 

@@ -89,16 +89,14 @@ def rule_powered() -> WinningRule:
 
 
 def rule_bradley_terry(strength: StrengthFunction) -> WinningRule:
-    """p = f(a) / (f(a) + f(b)), independent of the rest of the hand."""
-
-    f = strength.f
+    """p = f(a) / (f(a) + f(b)), independent of the rest of the hand;
+    f is read from the deck's strength table, which checks it."""
 
     def ev(a: Card, b: Card, s: frozenset, deck: Deck) -> float:
         if a.rank == b.rank:
             return 0.5
-        fa, fb = float(f(a.rank)), float(f(b.rank))
-        if fa <= 0 or fb <= 0:
-            raise ValueError("strengths must be positive")
+        f_of = deck.strength_table(strength)
+        fa, fb = f_of[a.id], f_of[b.id]
         if a.rank < b.rank:
             return fa / (fa + fb)
         return 1.0 - fb / (fb + fa)

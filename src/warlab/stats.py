@@ -15,11 +15,11 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .core import DRAW, RNG_ALGORITHM, TRUNCATED, WINNER_A, WINNER_B
+from .core import DRAW, RNG_ALGORITHM, TRUNCATED, WINNER_A
 
 #: Two-sided 95% normal quantile for the CI of the mean.
 _Z95 = 1.959963984540054
@@ -221,33 +221,37 @@ def summarize(
     )
 
 
+def tally(records: Iterable) -> tuple[list, int, int, int]:
+    """Class trial records by winner; no other code in warlab does.
+    Returns the decided games' round counts (won by A or B, in record
+    order) and the counts of A's wins, of draws and of truncated games."""
+    taus = []
+    wins = draws = truncated = 0
+    for r in records:
+        winner = r.winner
+        if winner == DRAW:
+            draws += 1
+        elif winner == TRUNCATED:
+            truncated += 1
+        else:
+            taus.append(r.tau)
+            wins += winner == WINNER_A
+    return taus, wins, draws, truncated
+
+
 def summarize_records(records: Iterable) -> SampleStats:
     """Summarize trial records by winner class: draws and truncations are
     counted, decided games contribute their round counts."""
-    taus = []
-    truncated = 0
-    draws = 0
-    for r in records:
-        if r.winner == TRUNCATED:
-            truncated += 1
-        elif r.winner == DRAW:
-            draws += 1
-        else:
-            taus.append(r.tau)
+    taus, _, draws, truncated = tally(records)
     return summarize(taus, truncated_count=truncated, draw_count=draws)
 
 
 def win_frequency(records: Iterable) -> float:
     """Fraction of decided games won by the first player."""
-    wins = 0
-    decided = 0
-    for r in records:
-        if r.winner in (WINNER_A, WINNER_B):
-            decided += 1
-            wins += r.winner == WINNER_A
-    if decided == 0:
+    taus, wins, _, _ = tally(records)
+    if not taus:
         raise ValueError("no decided games")
-    return wins / decided
+    return wins / len(taus)
 
 
 def histogram(samples: Sequence[float], bin_count: int) -> HistogramData:
@@ -326,9 +330,8 @@ def fairness_test(
 # ---------------------------------------------------------------------------
 
 
-def run_metadata(config=None, seed=None, n_trials=None, workers=None,
-                 **extra) -> dict:
-    """Everything needed to regenerate an output exactly.
+def run_metadata(config=None, **fields) -> dict:
+    """Everything needed to regenerate an output exactly, then ``fields``.
 
     numpy's version is read from the loaded module, else from the
     installed package's metadata, so that a Monte Carlo run loads no
@@ -349,16 +352,9 @@ def run_metadata(config=None, seed=None, n_trials=None, workers=None,
         "numpy": numpy_version,
     }
     if config is not None:
-        meta["config"] = asdict(config) if hasattr(
-            config, "__dataclass_fields__"
-        ) else dict(config)
-    if seed is not None:
-        meta["seed"] = seed
-    if n_trials is not None:
-        meta["n_trials"] = n_trials
-    if workers is not None:
-        meta["workers"] = workers
-    meta.update(extra)
+        meta["config"] = (asdict(config) if is_dataclass(config)
+                          else dict(config))
+    meta.update(fields)
     return meta
 
 

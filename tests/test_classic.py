@@ -260,6 +260,30 @@ class TestAcesTable:
         )
         assert row["ci_lo"] <= row["p_win"] <= row["ci_hi"]
 
+    def test_rows_pinned(self):
+        """The counts and estimates of a small table with draws, as the
+        per-winner sums before ``stats.tally`` gave them."""
+        rows = aces_win_table(build_deck((3, 4)), TiePolicy(),
+                              trials_per_cell=60, seed=8)
+        counts = [(r["k"], r["trials"], r["decided"], r["wins"], r["draws"],
+                   r["truncated"], r["p_win"]) for r in rows]
+        assert counts == [
+            (0, 60, 60, 0, 0, 0, 0.0),
+            (1, 60, 60, 8, 0, 0, 0.13333333333333333),
+            (2, 60, 57, 32, 3, 0, 0.5614035087719298),
+            (3, 60, 59, 47, 1, 0, 0.7966101694915254),
+            (4, 60, 60, 59, 0, 0, 0.9833333333333333),
+        ]
+        # The interval bounds come from scipy, so allow its rounding.
+        bounds = [b for r in rows for b in (r["ci_lo"], r["ci_hi"])]
+        assert bounds == pytest.approx([
+            0.0, 0.05962949228616691,
+            0.05936442270535719, 0.24592222113041984,
+            0.423621418746576, 0.6925845665595812,
+            0.6716697640662905, 0.8902463338684871,
+            0.910600949942513, 0.999578125547658,
+        ], rel=1e-9)
+
     def test_ci_bounds_ordered(self):
         deck = build_deck((13, 4))
         rows = aces_win_table(deck, WAR, trials_per_cell=200, seed=6,

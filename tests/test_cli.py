@@ -12,6 +12,7 @@ import pytest
 import warlab
 from warlab import cli, exact
 from warlab.cli import main
+from warlab.reproduce import scaling_target
 from warlab.rules import strength_builtin
 from warlab.stats import read_csv_with_metadata
 
@@ -153,6 +154,59 @@ class TestSimulate:
             **dict.fromkeys(unset, ""),
         }
         assert not Path(str(csv_out) + ".hist.csv").exists()
+
+    @pytest.mark.parametrize("argv,stats", [
+        (["--game", "classic", "--deck", "3x2", "--min-hand", "2",
+          "--trials", "200", "--seed", "5"],
+         {"n_trials": 200, "mean": 2.7151162790697674, "median": 2.0,
+          "max": 10.0, "std": 1.6667380645661733,
+          "ci95_lo": 2.4660291876616616, "ci95_hi": 2.964203370477873,
+          "truncated_count": 0, "draw_count": 28,
+          "win_freq_a": 0.48255813953488375}),
+        (["--game", "pwar", "--deck", "8x1", "--rule", "coin",
+          "--max-rounds", "5", "--trials", "300", "--seed", "4"],
+         {"n_trials": 300, "mean": 4.0, "median": 4.0, "max": 4.0,
+          "std": 0.0, "ci95_lo": 4.0, "ci95_hi": 4.0,
+          "truncated_count": 270, "draw_count": 0, "win_freq_a": 0.4}),
+        (["--game", "pwar", "--deck", "8x1", "--rule", "coin",
+          "--max-rounds", "1", "--trials", "20", "--seed", "4"],
+         {"n_trials": 20, "mean": None, "median": None, "max": None,
+          "std": None, "ci95_lo": None, "ci95_hi": None,
+          "truncated_count": 20, "draw_count": 0, "win_freq_a": None}),
+    ], ids=["classic-draws", "pwar-truncated", "pwar-undecided"])
+    def test_stats_pinned(self, tmp_path, argv, stats):
+        """The JSON stats object of runs with draws, with truncated games
+        and with no decided game, as the per-winner walks over the
+        records before ``stats.tally`` gave it."""
+        out = tmp_path / "r.json"
+        assert main(["simulate", *argv, "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["stats"] == stats
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--game", "fwar", "--n", "4", "--strength",
+         "exponential", "--lam", "1000", "--trials", "2"],
+        ["simulate", "--game", "fwar", "--n", "4", "--strength",
+         "exponential", "--lam", "1000", "--trials", "2", "--workers", "2"],
+        ["simulate", "--game", "pwar", "--deck", "3x2", "--rule",
+         "bradley-terry", "--strength", "exponential", "--lam", "800",
+         "--trials", "2"],
+        ["exact", "--game", "pwar", "--deck", "3x2", "--rule",
+         "bradley-terry", "--strength", "exponential", "--lam", "800"],
+        ["exact", "--game", "fwar", "--n", "4", "--strength", "exponential",
+         "--lam", "1000"],
+    ], ids=["simulate-fwar", "simulate-fwar-workers", "simulate-pwar",
+            "exact-pwar", "exact-fwar"])
+    def test_overflowing_strength_clean_error(self, monkeypatch, capsys,
+                                              argv):
+        """A strength that overflows is an ``error:`` with exit 2, raised
+        while the config is built: no trial is played."""
+        monkeypatch.setattr(cli, "run_trials", None)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: strength 'exponential' is non-positive or not finite")
 
     def test_classic_min_hand_below_one_clean_error(self, capsys):
         rc = main([
@@ -402,6 +456,21 @@ class TestReproduce:
         ]
         assert len(ratios) == 2
         assert all(r["pass"] for r in rows)
+
+    def test_scaling_zero_mean_has_no_ratio(self, tmp_path):
+        """Seed 90's one n=8 game is dealt an empty hand, so that size's
+        mean is 0: its ratio row fails with no ratio, null in JSON."""
+        rows = scaling_target(1, 90, 1)
+        assert rows[0]["artifact"] == 0.0
+        first, second = [r for r in rows
+                         if r["metric"] == "mean_tau ratio per doubling"]
+        assert first["artifact"] is None and first["pass"] is False
+        assert second["artifact"] == round(96.0 / 89.0, 3)
+        out = tmp_path / "s.json"
+        assert main(["reproduce", "scaling", "--trials", "1", "--seed", "90",
+                     "--format", "json", "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["comparisons"][6]["artifact"] is None
 
     @pytest.mark.parametrize("target", ["rounds", "aces", "scaling"])
     def test_zero_trials_rejected(self, capsys, target):

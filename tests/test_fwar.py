@@ -239,10 +239,10 @@ class TestStrengthTable:
         deck = build_deck((6, 1))
         fwar_run(deal_iid(6, RngStream(3, 0)), strength_builtin("identity"),
                  deck, RngStream(3, 1))
-        assert vars(deck)["_strength_tables"]
+        assert vars(deck)["_tables"]
         copy = pickle.loads(pickle.dumps(deck))
         assert copy == deck
-        assert "_strength_tables" not in vars(copy)
+        assert "_tables" not in vars(copy)
 
 
 class TestClosedForms:

@@ -429,7 +429,7 @@ class TestPairTable:
         deck = build_deck((8, 1))
         rng = RngStream(2, 0)
         pwar_run(deal_uniform(deck, None, rng), rule_powered(), deck, rng)
-        assert vars(deck)["_pair_tables"]
+        assert vars(deck)["_tables"]
         copy = pickle.loads(pickle.dumps(deck))
         assert copy == deck
-        assert "_pair_tables" not in vars(copy)
+        assert "_tables" not in vars(copy)

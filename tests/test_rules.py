@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warlab.core import build_deck
+from warlab.core import StrengthFunction, build_deck
 from warlab.rules import (
     VIOLATION_TOL,
     rule_bradley_terry,
@@ -154,6 +154,29 @@ class TestBradleyTerryRule:
         assert report.is_valid_rule
         assert report.is_symmetric
 
+    def test_reads_the_decks_strength_table(self):
+        """Every (a, b) pair of a deck costs one f call per rank, made by
+        the deck's strength table, not one per evaluation."""
+        calls = []
+        strength = StrengthFunction(
+            name="counted", f=lambda r: calls.append(r) or float(r))
+        deck = build_deck((3, 2))
+        rule = rule_bradley_terry(strength)
+        for a, b in itertools.permutations(deck.cards, 2):
+            rule.eval(a, b, frozenset(), deck)
+        assert calls == [1, 2, 3]
+        a, b = _card(deck, 1), _card(deck, 3)
+        assert rule.eval(a, b, frozenset(), deck) == 0.25
+        assert deck.strength_table(strength) == (1.0, 1.0, 2.0, 2.0, 3.0,
+                                                 3.0)
+
+    def test_bad_strength_rejected_by_the_table(self):
+        deck = build_deck((3, 1))
+        rule = rule_bradley_terry(
+            StrengthFunction(name="bad", f=lambda r: r - 2.0))
+        with pytest.raises(ValueError, match="'bad' is non-positive"):
+            rule.eval(deck.cards[0], deck.cards[2], frozenset(), deck)
+
 
 class TestMaxHolderRule:
     def test_holder_of_max_wins(self):
@@ -207,11 +230,22 @@ class TestStrengthBuiltins:
             strength_builtin("cubic")
 
     def test_table_validates_positivity(self):
-        from warlab.core import StrengthFunction
-
         bad = StrengthFunction(name="bad", f=lambda a: a - 2.0)
         with pytest.raises(ValueError):
             bad.table(4)
+
+    @pytest.mark.parametrize("f,ranks", [
+        (lambda a: math.exp(400.0 * a), "[2, 3]"),
+        (lambda a: 10 ** (200 * a), "[2, 3]"),
+        (lambda a: math.inf if a == 1 else 1.0, "[1]"),
+        (lambda a: math.nan if a == 3 else 1.0, "[3]"),
+    ], ids=["exp-overflow", "int-overflow", "inf", "nan"])
+    def test_table_rejects_overflow_and_non_finite(self, f, ranks):
+        bad = StrengthFunction(name="bad", f=f)
+        with pytest.raises(ValueError) as info:
+            bad.table(3)
+        assert str(info.value) == (
+            f"strength 'bad' is non-positive or not finite at ranks {ranks}")
 
 
 class TestValidateRule:

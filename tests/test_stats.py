@@ -28,6 +28,7 @@ from warlab.stats import (
     run_trials,
     summarize,
     summarize_records,
+    tally,
     win_frequency,
     write_json,
     write_table_csv,
@@ -87,6 +88,20 @@ class TestSummarize:
             TrialRecord(tau=1, winner="Truncated", stream_id=2),
         ]
         assert win_frequency(records) == 0.5
+
+    def test_tally_classes_each_record_once(self):
+        records = [
+            TrialRecord(tau=t, winner=w, stream_id=i) for i, (t, w) in
+            enumerate([(4, "B"), (7, "Draw"), (2, "A"), (9, "Truncated"),
+                       (5, "A"), (3, "Draw")])
+        ]
+        assert tally(records) == ([4, 2, 5], 2, 2, 1)
+        assert tally(iter(records)) == tally(records)
+        assert tally([]) == ([], 0, 0, 0)
+
+    def test_win_frequency_needs_a_decided_game(self):
+        with pytest.raises(ValueError, match="no decided games"):
+            win_frequency([TrialRecord(tau=3, winner="Draw", stream_id=0)])
 
 
 class TestHistogram:
