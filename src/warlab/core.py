@@ -270,20 +270,29 @@ class WinningRule:
 
 class PairTable:
     """``rule.eval`` of one rule on one deck, for a rule that reads at
-    most the hand size, each entry computed on first read.
+    most the hand size.
 
     ``by_size[k]``, for hand sizes k = 1..d-1, is a flat table of d*d
     floats: p of card ``a`` against card ``b`` sits at ``a * d + b`` and
     is NaN until :meth:`fill` computes it; the diagonal (a card against
     itself) is 0. A ``"cards"`` rule has one table, a list shared by
-    every k and filled with an empty ``s``. A ``"size"`` rule has one
-    ``array('d')`` per k (d^3 doubles in all), filled with the canonical
-    rest of a size-k hand: the lowest k-1 ids other than a and b. The
+    every k, filled with an empty ``s`` when the table is made (see
+    ``walk_p``). A ``"size"`` rule has one
+    ``array('d')`` per k (d^3 doubles in all), each entry filled on first
+    read with the canonical rest of a size-k hand: the lowest k-1 ids
+    other than a and b. The
     Monte Carlo engine and exact enumeration both read p from here, so
     they share one evaluation per entry.
+
+    ``walk_p`` is the p that a ``"cards"`` rule gives every pair of
+    distinct cards, and None when the pairs differ, when the rule reads
+    the hand size or when some pair's ``eval`` raises; with it, hand size
+    is a walk that ignores the cards. To decide it, a ``"cards"`` table is
+    filled in ascending (a, b) order; an ``eval`` that raises stops the
+    fill there, and play raises when it reads that pair.
     """
 
-    __slots__ = ("rule", "deck", "by_size")
+    __slots__ = ("rule", "deck", "by_size", "walk_p")
 
     def __init__(self, rule: WinningRule, deck: Deck):
         if rule.reads == "hand":
@@ -293,13 +302,27 @@ class PairTable:
         unfilled[::d + 1] = array("d", [0.0]) * d
         self.rule = rule
         self.deck = deck
+        self.walk_p = None
         if rule.reads == "cards":
             # One small table: a list reads faster than an array, which
             # boxes a new float on every read.
             self.by_size = [unfilled.tolist()] * (d + 1)
+            self.walk_p = self._one_p()
         else:
             self.by_size = ([None] + [array("d", unfilled)
                                       for _ in range(1, d)] + [None])
+
+    def _one_p(self) -> Optional[float]:
+        """The one p off the diagonal of a ``"cards"`` table, or None."""
+        try:
+            table = self.filled(1)
+        except Exception:
+            return None
+        d = self.deck.size
+        off = [p for i, p in enumerate(table) if i % (d + 1)]
+        if off and all(p == off[0] for p in off):
+            return off[0]
+        return None
 
     def fill(self, a_id: int, b_id: int, k: int) -> float:
         """Evaluate, store and return p of ``a_id`` against ``b_id`` at

@@ -10,6 +10,14 @@ consumes exactly three uniform draws in fixed order (index into A's hand,
 index into B's hand, outcome), with index = floor(U * hand_size).
 :func:`pwar_run` and :func:`pwar_step` share one play loop, the step
 capped at one round, so a run is draw-for-draw the iteration of steps.
+
+When a ``"cards"`` rule gives every pair of cards the same p (``coin``,
+Bradley-Terry with ``constant`` strength), hand size is a walk that
+ignores the cards, and :func:`pwar_run` plays that walk on |A| alone
+(:attr:`PairTable.walk_p <warlab.core.PairTable.walk_p>`). It makes the
+same three draws per round, the two index draws discarded, so its record
+is the play loop's; ``tests/test_pwar.py`` checks this against a
+reference loop.
 """
 
 from __future__ import annotations
@@ -34,26 +42,31 @@ from .core import (
     deal_uniform,
 )
 
-def _play(state, rule, deck, rng, max_rounds, record_trace):
+def _pair_table(state, rule, deck):
+    """The deck's pair table for ``rule``, None for a ``"hand"`` rule,
+    once ``state`` is checked to hold unordered hands."""
+    if state.ordered:
+        raise ValueError("random-draw war uses unordered (set) hands")
+    return None if rule.reads == "hand" else deck.pair_table(rule)
+
+
+def _play(state, rule, table, deck, rng, max_rounds, record_trace):
     """The play loop: from ``state``, play until a hand empties or
     ``max_rounds`` rounds are played. Returns the final hands (ascending id
     lists) and the game's record.
 
-    A ``"hand"`` rule is evaluated every round on the real rest of A's
-    hand; any other rule's p is read from the deck's pair table at the
-    current hand size and evaluated only the first time an entry is
-    read."""
-    if state.ordered:
-        raise ValueError("random-draw war uses unordered (set) hands")
+    A ``"hand"`` rule (``table`` None) is evaluated every round on the real
+    rest of A's hand; any other rule's p is read from its pair ``table``
+    at the current hand size and evaluated only the first time an entry
+    is read."""
     ha = sorted(state.hand_a)
     hb = sorted(state.hand_b)
     size = deck.size
     cards = deck.cards
     ev = rule.eval
-    if rule.reads == "hand":
+    if table is None:
         by_size = None
     else:
-        table = deck.pair_table(rule)
         by_size = table.by_size
         fill = table.fill
     rand = rng.random
@@ -94,13 +107,40 @@ def _play(state, rule, deck, rng, max_rounds, record_trace):
     return ha, hb, record
 
 
+def _walk(k, n, p, rng, max_rounds, record_trace):
+    """The play loop of a rule with one p for every pair: |A| = ``k`` of
+    ``n`` cards moves up with probability ``p``, else down. Each round
+    makes the loop's two index draws and drops them, then its outcome
+    draw, so the record is the one :func:`_play` returns."""
+    rand = rng.random
+    traj = [k] if record_trace else None
+    rounds = 0
+    while 0 < k < n and rounds < max_rounds:
+        rand()
+        rand()
+        if rand() <= p:
+            k += 1
+        else:
+            k -= 1
+        rounds += 1
+        if traj is not None:
+            traj.append(k)
+    if 0 < k < n:
+        winner = TRUNCATED
+    else:
+        winner = WINNER_A if k else WINNER_B
+    return TrialRecord(rounds, winner, rng.stream_id,
+                       tuple(traj) if traj is not None else None)
+
+
 def pwar_step(
     state: GameState, rule: WinningRule, deck: Deck, rng: RngStream
 ) -> GameState:
     """Advance one round from a non-absorbing unordered state."""
     if state.is_absorbing:
         raise ValueError("cannot step an absorbing state")
-    ha, hb, _ = _play(state, rule, deck, rng, 1, False)
+    table = _pair_table(state, rule, deck)
+    ha, hb, _ = _play(state, rule, table, deck, rng, 1, False)
     return GameState(frozenset(ha), frozenset(hb), state.round + 1)
 
 
@@ -116,8 +156,15 @@ def pwar_run(
 
     Returns winner ``"Truncated"`` if the cap was hit. When
     ``record_trace`` is set, the record's trace is |A_t| for t = 0..tau.
+    A rule with one p for every pair plays the walk on |A|, with the same
+    draws and the same record.
     """
-    return _play(init, rule, deck, rng, max_rounds, record_trace)[2]
+    table = _pair_table(init, rule, deck)
+    if table is not None and table.walk_p is not None:
+        k = len(init.hand_a)
+        return _walk(k, k + len(init.hand_b), table.walk_p, rng, max_rounds,
+                     record_trace)
+    return _play(init, rule, table, deck, rng, max_rounds, record_trace)[2]
 
 
 @dataclass(frozen=True)

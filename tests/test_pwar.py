@@ -1,5 +1,6 @@
 """Tests for the random-draw war engine."""
 
+import dataclasses
 import math
 import pickle
 from bisect import insort
@@ -28,6 +29,7 @@ from warlab.rules import (
     rule_greater_tiecoin,
     rule_max_holder,
     rule_powered,
+    strength_builtin,
 )
 from warlab.stats import fairness_test, run_trials
 
@@ -362,6 +364,137 @@ class TestTableEngineMatchesReference:
             assert pwar_run(init, rule, deck, RngStream(17, sid), 2000,
                             True) == _reference_play(
                 init, rule, deck, RngStream(17, sid), 2000, True)[2]
+
+
+def _constant_rule(p):
+    """A custom ``"cards"`` rule that gives every pair ``p``."""
+    return WinningRule(name=f"constant-{p}", eval=lambda a, b, s, deck: p,
+                       reads="cards")
+
+
+#: Rules with one p for every pair, which play the walk on |A|.
+WALK_RULES = {
+    "coin": (rule_coin, 0.5),
+    "bradley-terry-constant": (
+        lambda: rule_by_name("bradley-terry", strength_builtin("constant")),
+        0.5),
+    "constant-0.3": (lambda: _constant_rule(0.3), 0.3),
+}
+
+
+def _fields(record):
+    """Each field of ``record`` by name, as ``repr`` (exact for floats)."""
+    return [(f.name, repr(getattr(record, f.name)))
+            for f in dataclasses.fields(record)]
+
+
+def _both(init, rule, deck, seed, sid, max_rounds, record_trace):
+    """The engine's and the reference loop's outcome from one state on
+    two copies of one stream, each with the stream's next draw after it
+    (None when the loop raised)."""
+    out = []
+    for fn in (pwar_run, lambda *a: _reference_play(*a)[2]):
+        rng = RngStream(seed, sid)
+        got = _outcome(fn, init, rule, deck, rng, max_rounds, record_trace)
+        if isinstance(got, TrialRecord):
+            out.append((_fields(got), rng.random()))
+        else:
+            out.append((got, None))
+    return out
+
+
+class TestWalkMatchesReference:
+    """A rule with one p for every pair plays the walk on |A|, not the
+    hands; its records, and the draws it leaves, must equal the reference
+    loop's."""
+
+    @given(
+        ranks=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+        name=st.sampled_from(sorted(WALK_RULES)),
+        data=st.data(),
+        seed=st.integers(0, 2**32),
+        stream=st.integers(0, 10**6),
+        max_rounds=st.integers(0, 60),
+        record_trace=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_records_identical(self, ranks, name, data, seed, stream,
+                               max_rounds, record_trace):
+        """Every start from an empty to a full first hand (absorbing
+        ones included), one-card decks and caps from 0 rounds up."""
+        deck = build_deck(ranks)
+        make, p = WALK_RULES[name]
+        rule = make()
+        size_a = data.draw(st.integers(0, deck.size), label="size_a")
+        assert deck.pair_table(rule).walk_p == (p if deck.size > 1 else None)
+        for sid in range(stream, stream + 3):
+            init = deal_uniform(deck, size_a, RngStream(seed, sid))
+            got, want = _both(init, rule, deck, seed, sid, max_rounds,
+                              record_trace)
+            assert got == want
+
+    @pytest.mark.parametrize("name", sorted(WALK_RULES))
+    def test_52_card_games_identical(self, name):
+        """30 games of criterion 5's model, on one 52-card deck."""
+        deck = build_deck((52, 1))
+        rule = WALK_RULES[name][0]()
+        for sid in range(30):
+            init = deal_uniform(deck, None, RngStream(17, sid))
+            got, want = _both(init, rule, deck, 17, sid, 2000, True)
+            assert got == want
+
+    def test_step_keeps_the_hands(self):
+        """``pwar_step`` returns hands, so it plays the hands."""
+        deck = build_deck((8, 1))
+        state = deal_uniform(deck, None, RngStream(2, 0))
+        got = _step_states(state, rule_coin(), deck, RngStream(3, 0), 40)
+        want = _reference_step_states(state, rule_coin(), deck,
+                                      RngStream(3, 0), 40)
+        assert got == want
+
+
+class TestWalkNotTaken:
+    def test_greater_on_tied_ranks_raises_as_reference(self):
+        """Filling the table raises at the tied pair, so no p is decided
+        and the play loop raises exactly when the reference does: only
+        in games that draw the tied pair."""
+        deck = build_deck([1, 1, 2, 3, 4, 5])
+        rule = rule_by_name("greater")
+        raised = 0
+        for sid in range(200):
+            init = deal_uniform(deck, None, RngStream(4, sid))
+            got, want = _both(init, rule, deck, 4, sid, 300, True)
+            assert got == want
+            raised += got[0] is ValueError
+        assert deck.pair_table(rule).walk_p is None
+        assert 0 < raised < 200
+
+    @pytest.mark.parametrize("ranks, rule", [
+        ((13, 4), rule_greater_tiecoin()),
+        ((8, 1), rule_powered()),
+        ((8, 1), rule_by_name("greater")),
+        ((8, 1), rule_by_name("bradley-terry", strength_builtin("identity"))),
+        ([2, 2, 2, 3], rule_greater_tiecoin()),
+    ])
+    def test_card_dependent_rules_play_the_hands(self, ranks, rule):
+        deck = build_deck(ranks)
+        assert deck.pair_table(rule).walk_p is None
+        for sid in range(40):
+            init = deal_uniform(deck, None, RngStream(6, sid))
+            got, want = _both(init, rule, deck, 6, sid, 2000, True)
+            assert got == want
+
+    def test_one_odd_pair_plays_the_hands(self):
+        def ev(a, b, s, deck):
+            return 0.9 if (a.id, b.id) == (0, 1) else 0.5
+
+        rule = WinningRule(name="one-odd-pair", eval=ev, reads="cards")
+        deck = build_deck((5, 1))
+        assert deck.pair_table(rule).walk_p is None
+        for sid in range(40):
+            init = deal_uniform(deck, None, RngStream(8, sid))
+            got, want = _both(init, rule, deck, 8, sid, 200, True)
+            assert got == want
 
 
 class TestPairTable:
