@@ -443,15 +443,6 @@ class TestWalkMatchesReference:
             got, want = _both(init, rule, deck, 17, sid, 2000, True)
             assert got == want
 
-    def test_step_keeps_the_hands(self):
-        """``pwar_step`` returns hands, so it plays the hands."""
-        deck = build_deck((8, 1))
-        state = deal_uniform(deck, None, RngStream(2, 0))
-        got = _step_states(state, rule_coin(), deck, RngStream(3, 0), 40)
-        want = _reference_step_states(state, rule_coin(), deck,
-                                      RngStream(3, 0), 40)
-        assert got == want
-
 
 class TestWalkNotTaken:
     def test_greater_on_tied_ranks_raises_as_reference(self):
