@@ -16,13 +16,6 @@ Each round consumes the outcome draw first, then (in random return order)
 exactly one order draw. :func:`fwar_run` and :func:`fwar_step` share one
 play loop, the step capped at one round, so a run is draw-for-draw the
 iteration of steps.
-
-When every card of the deck has the same strength (``constant``), each
-round is a fair coin whatever the cards, and :func:`fwar_run` plays the
-walk on |A| alone. It makes the same draws and the same float operations
-on M and Q in the same order, so ``m_final``, ``q_final`` and both
-trajectories match the play loop's bit for bit; ``tests/test_fwar.py``
-checks this against a reference loop.
 """
 
 from __future__ import annotations
@@ -67,33 +60,17 @@ class FwarTrace(TrialRecord):
     q_trajectory: Optional[tuple] = None
 
 
-def _check(state, return_order):
-    """Reject what neither play loop can take."""
+def _play(state, strength, deck, rng, max_rounds, return_order,
+          record_trace):
+    """The play loop: from ``state``, play until a hand empties or
+    ``max_rounds`` rounds are played. Returns the final hands (deques,
+    front = next played) and the game's record."""
     if not state.ordered:
         raise ValueError("top-card war uses ordered (tuple) hands")
     if return_order not in RETURN_ORDERS:
         raise ValueError(f"return_order must be one of {RETURN_ORDERS}")
-
-
-def _record(rounds, winner, rng, m, q, m_traj, q_traj):
-    """The game's record; the trajectories are None when not kept."""
-    return FwarTrace(
-        tau=rounds,
-        winner=winner,
-        stream_id=rng.stream_id,
-        m_final=m,
-        q_final=q,
-        m_trajectory=tuple(m_traj) if m_traj is not None else None,
-        q_trajectory=tuple(q_traj) if q_traj is not None else None,
-    )
-
-
-def _play(state, f_of, deck, rng, max_rounds, return_order, record_trace):
-    """The play loop: from ``state``, play until a hand empties or
-    ``max_rounds`` rounds are played, with ``f_of`` the deck's strength
-    table. Returns the final hands (deques, front = next played) and the
-    game's record."""
     n = deck.size
+    f_of = deck.strength_table(strength)
     a = deque(state.hand_a)
     b = deque(state.hand_b)
     m = math.fsum(f_of[i] for i in a)
@@ -152,45 +129,16 @@ def _play(state, f_of, deck, rng, max_rounds, return_order, record_trace):
         winner = TRUNCATED
     else:
         winner = WINNER_A if a else WINNER_B
-    return a, b, _record(rounds, winner, rng, m, q, m_traj, q_traj)
-
-
-def _walk(state, f, rng, max_rounds, return_order, record_trace):
-    """The play loop of a deck whose cards all have strength ``f``: |A|
-    moves by one on the outcome draw, and the order draw is made and
-    dropped. M and Q take the play loop's float operations in its order
-    (``m += f`` or ``m -= f``, then ``q += f * f``), so the record is the
-    one :func:`_play` returns."""
-    k = len(state.hand_a)
-    n = k + len(state.hand_b)
-    m = math.fsum(f for _ in state.hand_a)
-    q = 0.0
-    m_traj = [m] if record_trace else None
-    q_traj = [0.0] if record_trace else None
-    rand = rng.random
-    random_return = return_order == "random"
-    p = f / (f + f)
-    ff = f * f
-    rounds = 0
-    while 0 < k < n and rounds < max_rounds:
-        if rand() <= p:
-            k += 1
-            m += f
-        else:
-            k -= 1
-            m -= f
-        if random_return:
-            rand()
-        q += ff
-        rounds += 1
-        if m_traj is not None:
-            m_traj.append(m)
-            q_traj.append(q)
-    if 0 < k < n:
-        winner = TRUNCATED
-    else:
-        winner = WINNER_A if k else WINNER_B
-    return _record(rounds, winner, rng, m, q, m_traj, q_traj)
+    record = FwarTrace(
+        tau=rounds,
+        winner=winner,
+        stream_id=rng.stream_id,
+        m_final=m,
+        q_final=q,
+        m_trajectory=tuple(m_traj) if m_traj is not None else None,
+        q_trajectory=tuple(q_traj) if q_traj is not None else None,
+    )
+    return a, b, record
 
 
 def fwar_step(
@@ -207,9 +155,7 @@ def fwar_step(
     """
     if state.is_absorbing:
         raise ValueError("cannot step an absorbing state")
-    _check(state, return_order)
-    a, b, record = _play(state, deck.strength_table(strength), deck, rng, 1,
-                         return_order, False)
+    a, b, record = _play(state, strength, deck, rng, 1, return_order, False)
     return (
         GameState(tuple(a), tuple(b), state.round + 1),
         record.q_final,
@@ -225,15 +171,8 @@ def fwar_run(
     record_trace: bool = False,
     return_order: str = "random",
 ) -> FwarTrace:
-    """Play from ``init`` to absorption or the round cap. A deck whose
-    cards all have one strength plays the walk on |A|, with the same
-    draws and the same record."""
-    _check(init, return_order)
-    f_of = deck.strength_table(strength)
-    if f_of.count(f_of[0]) == len(f_of):
-        return _walk(init, f_of[0], rng, max_rounds, return_order,
-                     record_trace)
-    return _play(init, f_of, deck, rng, max_rounds, return_order,
+    """Play from ``init`` to absorption or the round cap."""
+    return _play(init, strength, deck, rng, max_rounds, return_order,
                  record_trace)[2]
 
 

@@ -161,9 +161,12 @@ def pwar_run(
     """
     table = _pair_table(init, rule, deck)
     if table is not None and table.walk_p is not None:
-        k = len(init.hand_a)
-        return _walk(k, k + len(init.hand_b), table.walk_p, rng, max_rounds,
-                     record_trace)
+        if __debug__:
+            assert len(init.hand_a) + len(init.hand_b) == deck.size, (
+                "card count not conserved"
+            )
+        return _walk(len(init.hand_a), deck.size, table.walk_p, rng,
+                     max_rounds, record_trace)
     return _play(init, rule, table, deck, rng, max_rounds, record_trace)[2]
 
 

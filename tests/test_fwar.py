@@ -1,27 +1,14 @@
 """Tests for the Bradley-Terry top-card (martingale) war engine."""
 
-import dataclasses
 import itertools
 import math
 import pickle
-from collections import deque
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from warlab.core import (
-    GameState,
-    RngStream,
-    StrengthFunction,
-    build_deck,
-    deal_uniform,
-)
+from warlab.core import GameState, RngStream, StrengthFunction, build_deck
 from warlab.fwar import (
-    DEALS,
-    RETURN_ORDERS,
     FwarConfig,
-    FwarTrace,
     deal_iid,
     deal_strongest,
     fwar_run,
@@ -200,136 +187,6 @@ class TestFwarRun:
         )
         assert trace.winner == "Truncated"
         assert trace.tau == 2
-
-
-def _reference_run(state, strength, deck, rng, max_rounds, record_trace,
-                   return_order):
-    """Reference for the engine: the play loop on the hands, with M and Q
-    updated as the engine's play loop updates them."""
-    f_of = deck.strength_table(strength)
-    a = deque(state.hand_a)
-    b = deque(state.hand_b)
-    m = math.fsum(f_of[i] for i in a)
-    q = 0.0
-    m_traj = [m]
-    q_traj = [q]
-    rounds = 0
-    while a and b and rounds < max_rounds:
-        fa = f_of[a[0]]
-        fb = f_of[b[0]]
-        a_wins = rng.random() <= fa / (fa + fb)
-        if return_order == "random":
-            first_own = rng.random() <= 0.5
-        else:
-            first_own = return_order == "own_first"
-        a_id = a.popleft()
-        b_id = b.popleft()
-        if a_wins:
-            hand, own, captured = a, a_id, b_id
-            m += fb
-        else:
-            hand, own, captured = b, b_id, a_id
-            m -= fa
-        hand.extend((own, captured) if first_own else (captured, own))
-        q += fa * fb
-        rounds += 1
-        m_traj.append(m)
-        q_traj.append(q)
-    if a and b:
-        winner = "Truncated"
-    else:
-        winner = "A" if a else "B"
-    return FwarTrace(
-        tau=rounds, winner=winner, stream_id=rng.stream_id, m_final=m,
-        q_final=q,
-        m_trajectory=tuple(m_traj) if record_trace else None,
-        q_trajectory=tuple(q_traj) if record_trace else None,
-    )
-
-
-def _fields(record):
-    """Each field of ``record`` by name, as ``repr`` (exact for floats)."""
-    return [(f.name, repr(getattr(record, f.name)))
-            for f in dataclasses.fields(record)]
-
-
-#: A constant strength whose sums and products round, so M and Q carry
-#: rounding error that a closed form would not reproduce.
-TENTH = StrengthFunction(name="tenth", f=lambda r: 0.1)
-STRENGTHS = {
-    "constant": strength_builtin("constant"),
-    "tenth": TENTH,
-    "identity": strength_builtin("identity"),
-}
-
-
-def _deal(deal, deck, size_a, rng):
-    if deal == "uniform":
-        return deal_uniform(deck, size_a, rng, ordered=True)
-    return (deal_iid if deal == "iid" else deal_strongest)(deck.size, rng)
-
-
-def _both(init, strength, deck, seed, sid, max_rounds, return_order,
-          record_trace):
-    """The engine's and the reference loop's records from one state on
-    two copies of one stream, each with the stream's next draw after it."""
-    out = []
-    for fn in (fwar_run, _reference_run):
-        rng = RngStream(seed, sid)
-        record = fn(init, strength, deck, rng, max_rounds, record_trace,
-                    return_order)
-        out.append((_fields(record), rng.random()))
-    return out
-
-
-class TestWalkMatchesReference:
-    """A deck whose cards all have one strength plays the walk on |A|;
-    its records, trajectories included, and the draws it leaves must
-    equal the reference loop's bit for bit."""
-
-    @given(
-        n=st.integers(1, 10),
-        data=st.data(),
-        name=st.sampled_from(sorted(STRENGTHS)),
-        deal=st.sampled_from(DEALS),
-        return_order=st.sampled_from(RETURN_ORDERS),
-        seed=st.integers(0, 2**32),
-        stream=st.integers(0, 10**6),
-        max_rounds=st.integers(0, 80),
-        record_trace=st.booleans(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_records_identical(self, n, data, name, deal, return_order,
-                               seed, stream, max_rounds, record_trace):
-        deck = build_deck((n, 1))
-        size_a = data.draw(st.integers(0, n), label="size_a")
-        for sid in range(stream, stream + 3):
-            init = _deal(deal, deck, size_a, RngStream(seed, sid))
-            got, want = _both(init, STRENGTHS[name], deck, seed, sid,
-                              max_rounds, return_order, record_trace)
-            assert got == want
-
-    def test_tenth_rounds_where_a_closed_form_would_not(self):
-        """The check above has teeth: with f = 0.1, Q_tau is not
-        tau * 0.01 in some games, so only the same operations match."""
-        deck = build_deck((10, 1))
-        off = 0
-        for sid in range(50):
-            rec = fwar_run(deal_iid(10, RngStream(1, sid)), TENTH, deck,
-                           RngStream(2, sid))
-            off += rec.q_final != rec.tau * (0.1 * 0.1)
-        assert off
-
-    def test_one_strong_card_plays_the_hands(self):
-        """One strength apart from the rest: the hands are played."""
-        uneven = StrengthFunction(name="uneven",
-                                  f=lambda r: 2.0 if r == 6 else 1.0)
-        deck = build_deck((6, 1))
-        for sid in range(40):
-            init = deal_iid(6, RngStream(5, sid))
-            got, want = _both(init, uneven, deck, 5, sid, 200, "random",
-                              True)
-            assert got == want
 
 
 class TestDriftCheck:

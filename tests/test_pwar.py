@@ -444,6 +444,21 @@ class TestWalkMatchesReference:
             assert got == want
 
 
+    @pytest.mark.parametrize("max_rounds", [0, 2000])
+    @pytest.mark.parametrize("name", sorted(WALK_RULES) + ["greater-tiecoin"])
+    def test_hands_short_of_the_deck_fail_the_debug_check(self, name,
+                                                          max_rounds):
+        """Hands that do not hold the whole deck fail the card check
+        under assertions, on the walk as on the play loop."""
+        assert __debug__, "the check runs only under assertions"
+        deck = build_deck((52, 1))
+        rule = (WALK_RULES[name][0]() if name in WALK_RULES
+                else rule_by_name(name))
+        init = GameState(frozenset({0}), frozenset({1}))
+        with pytest.raises(AssertionError, match="not conserved"):
+            pwar_run(init, rule, deck, RngStream(3, 0), max_rounds)
+
+
 class TestWalkNotTaken:
     def test_greater_on_tied_ranks_raises_as_reference(self):
         """Filling the table raises at the tied pair, so no p is decided
