@@ -19,13 +19,14 @@ from .core import DEFAULT_MAX_ROUNDS, built
 from .fwar import DEALS, RETURN_ORDERS, FwarConfig, strongest_deal_win_prob
 from .pwar import PwarConfig
 from .reproduce import (
-    REFERENCE_MIN_HAND,
     REPRODUCE_NOTES,
+    REPRODUCE_SETTINGS,
     REPRODUCE_TARGETS,
     REPRODUCE_TRIALS,
     VERIFY_SUITES,
 )
-from .rules import RULE_NAMES, STRENGTH_KINDS
+from .rules import (DEFAULT_STRENGTH, RULE_NAMES, STRENGTH_KINDS,
+                    SYMMETRIC_RULES)
 from .stats import (
     default_workers,
     histogram,
@@ -48,20 +49,22 @@ _GAME_OPTIONS = {
 }
 
 
+#: The accepted forms of ``--deck``.
+_DECK_FORMS = "NxM, N, or three or more comma-separated ranks"
+
+
 def _parse_deck(text: str) -> tuple:
     """Deck spec strings: '13x4', '52', or three or more comma-separated
     ranks (a config reads a pair of ints as ``(n_ranks, copies)``)."""
     text = text.strip()
-    if "," in text:
-        ranks = tuple(int(x) for x in text.split(","))
-        if len(ranks) == 2:
-            raise ValueError(f"--deck {text}: a rank list needs at least "
-                             f"three ranks")
-        return ranks
-    if "x" in text:
-        n_ranks, copies = text.split("x", 1)
-        return (int(n_ranks), int(copies))
-    return (int(text), 1)
+    is_list = "," in text
+    try:
+        spec = tuple(int(x) for x in text.split("," if is_list else "x"))
+    except ValueError:
+        spec = ()
+    if not (len(spec) >= 3 if is_list else 1 <= len(spec) <= 2):
+        raise ValueError(f"--deck {text}: expected {_DECK_FORMS}")
+    return spec if len(spec) > 1 else (spec[0], 1)
 
 
 def _deck_label(spec: tuple) -> str:
@@ -95,7 +98,7 @@ def _reject_unread_options(command, args) -> None:
         if args.tie == "coin":
             unread["face_down"] = "--tie coin"
     else:
-        kind = args.strength or "identity"
+        kind = args.strength or DEFAULT_STRENGTH
         if kind != "shifted":
             unread["shift"] = f"--strength {kind}"
         if kind != "exponential":
@@ -108,23 +111,38 @@ def _reject_unread_options(command, args) -> None:
                              f"{unread[dest]}")
 
 
-def _emit(args, payload: dict, rows: list, header: list) -> None:
+def _emit(args, payload: dict, rows: list) -> None:
     """Write the payload to --out in --format, if requested.
 
     JSON gets the whole payload. CSV gets one line per dict of ``rows``
-    (which the payload holds) under ``header``, and its leading comment
-    line holds ``payload["metadata"]`` itself, identical to what the JSON
-    output stores under ``"metadata"``.
+    (which the payload holds) under the first row's keys, and its leading
+    comment line holds ``payload["metadata"]`` itself, identical to what
+    the JSON output stores under ``"metadata"``.
     """
     if not args.out:
         return
     if args.format == "json":
         write_json(args.out, payload)
     else:
-        table = [[row.get(col, "") for col in header] for row in rows]
-        write_table_csv(args.out, header, table,
+        write_table_csv(args.out, list(rows[0]),
+                        [row.values() for row in rows],
                         metadata=payload["metadata"])
     print(f"wrote {args.out}")
+
+
+def _report(args, key: str, rows: list, line, metadata: dict,
+            note: Optional[str] = None) -> int:
+    """Print each check row as ``line`` renders it, then pass or FAIL;
+    then ``note`` and how many of the ``key`` passed. Emit the rows under
+    ``key`` and return exit status 1 iff a row failed."""
+    for row in rows:
+        print(line(row) + ("pass" if row["pass"] else "FAIL"))
+    if note:
+        print(note)
+    failed = sum(not row["pass"] for row in rows)
+    print(f"{len(rows) - failed}/{len(rows)} {key} passed")
+    _emit(args, {"metadata": metadata, key: rows}, rows)
+    return 1 if failed else 0
 
 
 def _pwar_config(args, **play) -> PwarConfig:
@@ -140,7 +158,7 @@ def _fwar_config(args, **play) -> FwarConfig:
     fields only ``simulate`` sets."""
     if args.n is None:
         raise ValueError("fwar needs --n (deck of n distinct ranks)")
-    return FwarConfig(n=args.n, strength=args.strength or "identity",
+    return FwarConfig(n=args.n, strength=args.strength or DEFAULT_STRENGTH,
                       strength_param=_strength_param(args), **play)
 
 
@@ -211,7 +229,7 @@ def cmd_simulate(args) -> int:
                             zip(edges, edges[1:], hist.counts),
                             metadata=meta)
             print(f"wrote {hist_path}")
-    _emit(args, payload, [row], header=list(row))
+    _emit(args, payload, [row])
     return 0
 
 
@@ -239,8 +257,7 @@ def cmd_exact(args) -> int:
             oracle_tau, oracle_win = exact.srw_oracle(deck.size, k)
             dev = max(abs(mean_tau - oracle_tau),
                       abs(mean_win - oracle_win))
-            if args.rule == "max-holder":
-                # Not symmetric, so the walk oracle need not hold.
+            if args.rule not in SYMMETRIC_RULES:
                 verdict = "walk comparison not checked for this rule"
             else:
                 ok = dev <= 1e-9
@@ -289,8 +306,7 @@ def cmd_exact(args) -> int:
              "transitions": len(space.trans_rows)}
     meta = run_metadata(config=inputs, game=args.game, summary=summary,
                         solve=solve)
-    _emit(args, {"metadata": meta, "states": rows, "summary": summary}, rows,
-          header=["state_index", "state", "win_prob_a", "expected_tau"])
+    _emit(args, {"metadata": meta, "states": rows, "summary": summary}, rows)
     return 0 if ok else 1
 
 
@@ -303,22 +319,12 @@ def cmd_verify(args) -> int:
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     cases = [case for name in names for case in VERIFY_SUITES[name]()]
     width = max(len(c["check"]) for c in cases)
-    for c in cases:
-        status = "pass" if c["pass"] else "FAIL"
-        print(
-            f"[{c['suite']:<11}] {c['check']:<{width}}  "
-            f"dev={c['deviation']:.3e}  tol={c['tolerance']:.0e}  "
-            f"{status}"
-        )
-    failed = sum(not c["pass"] for c in cases)
-    print(f"{len(cases) - failed}/{len(cases)} checks passed")
-    _emit(
-        args,
-        {"metadata": run_metadata(suite=args.suite), "checks": cases},
-        cases,
-        header=["suite", "check", "deviation", "tolerance", "pass"],
+    return _report(
+        args, "checks", cases,
+        lambda c: (f"[{c['suite']:<11}] {c['check']:<{width}}  "
+                   f"dev={c['deviation']:.3e}  tol={c['tolerance']:.0e}  "),
+        run_metadata(suite=args.suite),
     )
-    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,36 +337,16 @@ def cmd_reproduce(args) -> int:
     if trials < 1:
         raise ValueError("--trials must be at least 1")
     rows = REPRODUCE_TARGETS[target](trials, args.seed, args.workers)
-    for r in rows:
-        status = "pass" if r["pass"] else "FAIL"
-        print(
-            f"[{r['model']:<26}] {r['metric']:<38} "
-            f"artifact={r['artifact']!s:<10} reference={r['reference']!s:<8}"
-            f" tol={r['tolerance']:<15} {status}"
-        )
-    if target in REPRODUCE_NOTES:
-        print(REPRODUCE_NOTES[target])
-    failed = sum(not r["pass"] for r in rows)
-    print(f"{len(rows) - failed}/{len(rows)} comparisons passed")
-    settings = {"trials": trials}
-    if target != "scaling":
-        settings["min_hand"] = REFERENCE_MIN_HAND
-    _emit(
-        args,
-        {
-            "metadata": run_metadata(
-                seed=args.seed, target=target, workers=args.workers,
-                **settings,
-            ),
-            "comparisons": rows,
-        },
-        rows,
-        header=[
-            "target", "model", "metric", "artifact", "reference",
-            "pass_target", "tolerance", "pass",
-        ],
+    return _report(
+        args, "comparisons", rows,
+        lambda r: (f"[{r['model']:<26}] {r['metric']:<38} "
+                   f"artifact={r['artifact']!s:<10} "
+                   f"reference={r['reference']!s:<8} "
+                   f"tol={r['tolerance']:<15} "),
+        run_metadata(seed=args.seed, target=target, workers=args.workers,
+                     trials=trials, **REPRODUCE_SETTINGS[target]),
+        REPRODUCE_NOTES.get(target),
     )
-    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     def game_flags(p, deck):
         """The game flags of ``simulate`` and ``exact``; ``deck`` is the
         default deck."""
-        p.add_argument("--deck", default=deck, help="deck spec: NxM, N, "
-                       "or three or more comma-separated ranks")
+        p.add_argument("--deck", default=deck,
+                       help=f"deck spec: {_DECK_FORMS}")
         p.add_argument("--rule", default="coin",
                        help=f"pwar rule: {', '.join(RULE_NAMES)}")
         p.add_argument("--strength", choices=STRENGTH_KINDS, default=None)

@@ -404,8 +404,6 @@ class RngStream:
 
     __slots__ = ("stream_id", "random", "getrandbits")
 
-    algorithm = RNG_ALGORITHM
-
     def __init__(self, seed: int, stream_id: int = 0):
         material = hashlib.sha256(f"{seed}:{stream_id}".encode()).digest()
         rng = random.Random(int.from_bytes(material, "big"))

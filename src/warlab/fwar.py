@@ -252,7 +252,7 @@ class FwarConfig:
     """Picklable trial recipe for the Monte Carlo harness."""
 
     n: int
-    strength: str = "identity"
+    strength: str = rules.DEFAULT_STRENGTH
     strength_param: Optional[float] = None
     deal: str = "uniform"
     size_a: Optional[int] = None

@@ -206,6 +206,12 @@ _RULES = {
     "max-holder": rule_max_holder,
 }
 RULE_NAMES = tuple(_RULES)
+#: The built-in rules with p_{a,b}(S) + p_{b,a}(S) = 1, under which hand
+#: size is a fair walk; ``max-holder`` alone is not symmetric.
+SYMMETRIC_RULES = tuple(name for name in RULE_NAMES if name != "max-holder")
+#: The strength family of ``bradley-terry`` and top-card war when none is
+#: named.
+DEFAULT_STRENGTH = "identity"
 
 
 def rule_by_name(
@@ -216,9 +222,9 @@ def rule_by_name(
         raise ValueError(
             f"unknown rule {name!r}; valid names: {', '.join(RULE_NAMES)}"
         )
-    if name == "bradley-terry":
-        return rule_bradley_terry(strength or strength_builtin("identity"))
-    return _RULES[name]()
+    if name != "bradley-terry":
+        return _RULES[name]()
+    return rule_bradley_terry(strength or strength_builtin(DEFAULT_STRENGTH))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -509,6 +511,60 @@ class TestReproduce:
             main(["reproduce", "aces-table", "--trials", "5"])
         assert exc.value.code == 2
         assert "invalid choice: 'aces-table'" in capsys.readouterr().err
+
+
+class TestDeckSpec:
+    @pytest.mark.parametrize("text,spec", [
+        ("13x4", (13, 4)), (" 52 ", (52, 1)), ("1,2,3", (1, 2, 3)),
+    ])
+    def test_forms(self, text, spec):
+        assert cli._parse_deck(text) == spec
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("deck", ["x", "3x", "13x4x2", "1,,2"])
+    def test_malformed_deck_names_flag_and_forms(self, tmp_path, capsys,
+                                                 deck, via):
+        """A malformed deck, as a flag or as a config value, exits 2
+        naming --deck and the three accepted forms."""
+        argv = ["simulate", "--game", "pwar", "--trials", "3"]
+        if via == "flag":
+            argv += ["--deck", deck]
+        else:
+            cfg = tmp_path / "conf.json"
+            cfg.write_text(json.dumps({"deck": deck}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert (f"error: --deck {deck}: expected NxM, N, or three or more "
+                f"comma-separated ranks") in capsys.readouterr().err
+
+
+class TestOutputTables:
+    @pytest.mark.parametrize("argv,key", [
+        (["exact", "--game", "pwar", "--deck", "4x1"], "states"),
+        (["verify", "identity"], "checks"),
+        (["reproduce", "scaling", "--trials", "5", "--seed", "3"],
+         "comparisons"),
+        (["simulate", "--game", "pwar", "--deck", "8x1", "--trials", "50"],
+         "stats"),
+    ], ids=["exact", "verify", "reproduce", "simulate"])
+    def test_csv_table_is_json_rows(self, tmp_path, argv, key):
+        """The CSV header is the key list of the JSON rows (written with
+        sorted keys), and each CSV row holds that JSON row's values as
+        ``csv.writer`` writes them."""
+        csv_out, json_out = tmp_path / "o.csv", tmp_path / "o.json"
+        rc = main([*argv, "--out", str(csv_out)])
+        assert main([*argv, "--format", "json", "--out", str(json_out)]) == rc
+        rows = json.loads(json_out.read_text())[key]
+        rows = [rows] if isinstance(rows, dict) else rows
+        _, body = csv_out.read_text().split("\n", 1)
+        header = next(csv.reader(io.StringIO(body)))
+        assert len(set(header)) == len(header)
+        assert {frozenset(row) for row in rows} == {frozenset(header)}
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([row[col] for col in header] for row in rows)
+        assert body == expected.getvalue()
 
 
 class TestConfigFile:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warlab.core import (
+    RNG_ALGORITHM,
     Card,
     GameState,
     RngStream,
@@ -93,7 +94,7 @@ class TestRngStream:
         assert RngStream(1, 0).random() != RngStream(2, 0).random()
 
     def test_algorithm_named(self):
-        assert "mt19937" in RngStream(0).algorithm
+        assert "mt19937" in RNG_ALGORITHM
 
     def test_pooled_uniformity(self):
         """First draws across streams are uniform (chi-square, alpha=0.001)."""
