@@ -44,6 +44,10 @@ from .core import (
 from .stats import run_trials, tally
 
 
+#: Tie kinds by the name the CLI's ``--tie`` gives them.
+TIE_KINDS = {"war": "war_round", "coin": "coin_flip"}
+
+
 @dataclass(frozen=True)
 class TiePolicy:
     """How equal top cards are resolved.
@@ -57,9 +61,10 @@ class TiePolicy:
     face_down: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("war_round", "coin_flip"):
+        if self.kind not in TIE_KINDS.values():
             raise ValueError(
-                f"tie policy must be 'war_round' or 'coin_flip', "
+                f"tie policy must be "
+                f"{' or '.join(map(repr, TIE_KINDS.values()))}, "
                 f"got {self.kind!r}"
             )
         if self.face_down < 0:

@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import __version__, exact
-from .classic import ClassicConfig
+from .classic import TIE_KINDS, ClassicConfig
 from .core import DEFAULT_MAX_ROUNDS, built
 from .fwar import DEALS, RETURN_ORDERS, FwarConfig, strongest_deal_win_prob
 from .pwar import PwarConfig
@@ -95,8 +95,8 @@ def _reject_unread_options(command, args) -> None:
         unread.update(dict.fromkeys(("strength", "shift", "lam"),
                                     f"--rule {args.rule}"))
     elif args.game == "classic":
-        if args.tie == "coin":
-            unread["face_down"] = "--tie coin"
+        if TIE_KINDS[args.tie] == "coin_flip":
+            unread["face_down"] = f"--tie {args.tie}"
     else:
         kind = args.strength or DEFAULT_STRENGTH
         if kind != "shifted":
@@ -177,7 +177,7 @@ def _build_sim_config(args):
                             return_order=args.return_order)
     return ClassicConfig(
         deck=_parse_deck(args.deck),
-        tie={"war": "war_round", "coin": "coin_flip"}[args.tie],
+        tie=TIE_KINDS[args.tie],
         face_down=args.face_down,
         min_hand=args.min_hand,
         max_rounds=args.max_rounds,
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--deal", choices=DEALS, default="uniform")
     sim.add_argument("--return-order", dest="return_order",
                      choices=RETURN_ORDERS, default="random")
-    sim.add_argument("--tie", choices=("war", "coin"), default="war")
+    sim.add_argument("--tie", choices=tuple(TIE_KINDS), default="war")
     sim.add_argument("--face-down", dest="face_down", type=int, default=1)
     sim.add_argument("--min-hand", dest="min_hand", type=int, default=1,
                      help="forfeit threshold at round start (2 matches "

@@ -25,10 +25,11 @@ is bipartite between odd and even hand sizes: the two blocks between the
 halves are built once from the transition triplets, the
 almost-sure-absorption pre-check runs on them, and GMRES runs on the odd
 half alone. :func:`gmres` is written here over numpy (block
-Gram-Schmidt, Givens rotations in Python floats). Only sparse storage
-comes from scipy. numpy and scipy are both imported inside the functions
-that use them, so importing this module loads neither; a solve loads
-``scipy.sparse.linalg`` only when it falls back to sparse LU.
+Gram-Schmidt, Givens rotations in Python floats), and the blocks are
+numpy arrays stored slot-major, whose products sum each row in the
+order scipy's CSR product does. numpy and scipy are both imported inside
+the functions that use them, so importing this module loads neither; a
+solve loads scipy only when it falls back to sparse LU.
 """
 
 from __future__ import annotations
@@ -362,12 +363,72 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
 # ---------------------------------------------------------------------------
 
 
+class _Block:
+    """A sparse block stored slot-major (ELLPACK), for products with
+    finite vectors.
+
+    ``cols`` (intp) and ``probs`` have shape (longest row, rows): slot j
+    of row i holds row i's j-th triplet in the order given, and shorter
+    rows are padded with column 0 and p = 0. A product takes ``v`` at
+    every slot, multiplies by p and sums each row from 0.0 slot by slot,
+    which is the order scipy's ``csr_matvec`` sums a CSR row in, so
+    ``block @ v`` is bit-identical to ``_csr(...) @ v``. Padding adds
+    0 * v[0], which leaves a sum started at +0.0 unchanged while v is
+    finite. A repeated (row, col) pair adds up in products.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray,
+                 probs: np.ndarray, shape: tuple):
+        import numpy as np
+
+        n_rows, n_cols = shape
+        if rows.size and not (0 <= rows.min() and rows.max() < n_rows
+                              and 0 <= cols.min() and cols.max() < n_cols):
+            raise ValueError(f"triplet index outside the {shape} block")
+        counts = np.bincount(rows, minlength=n_rows)
+        width = int(counts.max(initial=0))
+        self.cols = np.zeros((width, n_rows), dtype=np.intp)
+        self.probs = np.zeros((width, n_rows))
+        filled = np.flatnonzero(counts)
+        if (counts[filled] == width).all() and (rows[1:] >= rows[:-1]).all():
+            # Ascending rows of one length, as both enumerators emit them.
+            self.cols[:, filled] = cols.reshape(filled.size, width).T
+            self.probs[:, filled] = probs.reshape(filled.size, width).T
+        else:
+            order = np.argsort(rows, kind="stable")
+            row = rows[order]
+            slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+            self.cols[slot, row] = cols[order]
+            self.probs[slot, row] = probs[order]
+        self._buf = np.empty((width, n_rows))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        buf = self._buf
+        v.take(self.cols, out=buf, mode="clip")
+        np.multiply(buf, self.probs, out=buf)
+        if buf.shape[1] != 1:
+            return np.add.reduce(buf, axis=0, initial=0.0)
+        # One row makes the slots numpy's contiguous axis, which it sums
+        # pairwise from 8 terms on: add them one at a time instead.
+        out = np.zeros(1)
+        for term in buf:
+            out += term
+        return out
+
+    def reaches(self, v: np.ndarray) -> np.ndarray:
+        """Rows with a p > 0 entry in a column where boolean ``v`` holds."""
+        hit = v.take(self.cols, mode="clip") & (self.probs > 0.0)
+        return hit.any(axis=0)
+
+
 def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
          shape: tuple):
-    """The triplets as a CSR matrix. A stable sort by row, linear when
-    ``rows`` already ascend as the enumerators emit them, keeps each
-    row's triplets in their order; a repeated (row, col) pair adds up in
-    products."""
+    """The triplets as a scipy CSR matrix, for the sparse-LU fallback. A
+    stable sort by row, linear when ``rows`` already ascend as the
+    enumerators emit them, keeps each row's triplets in their order; a
+    repeated (row, col) pair adds up in products."""
     import numpy as np
     from scipy.sparse import csr_matrix
 
@@ -470,18 +531,18 @@ def absorption_solve(space: StateSpace) -> SolveResult:
     A transition of positive probability between two states of the same
     hand-size parity raises ``ValueError``. Otherwise ``I - Q`` is
     ``[[I, -Q_oe], [-Q_eo, I]]`` between the states of odd and of even
-    ``hand_size``, and the two blocks are built once, with each state
-    numbered within its half. States that cannot reach absorption
-    through them raise ``AbsorptionError`` with a recurrent-class
-    witness. :func:`gmres` then solves each system on its odd half,
+    ``hand_size``, and the two blocks are built once as :class:`_Block`
+    arrays, with each state numbered within its half. States that cannot
+    reach absorption through them raise ``AbsorptionError`` with a
+    recurrent-class witness. :func:`gmres` then solves each system on its odd half,
     ``(I - Q_oe Q_eo) x_o = b_o + Q_oe b_e``, and ``x_e = b_e + Q_eo x_o``.
     If either does not converge or its max-abs residual on the whole
     system exceeds ``RESIDUAL_TOL``, both go through one sparse-LU
     factorization of the whole ``I - Q`` instead, the only place it is
-    built (LU fill makes that path slow on the largest chains). A
-    residual above ``RESIDUAL_TOL`` after either path raises
-    ``ValueError``. Only the live states' answers are kept, so boundary
-    values stay exact.
+    built and the only place scipy is imported (LU fill makes that path
+    slow on the largest chains). A residual above ``RESIDUAL_TOL`` after
+    either path raises ``ValueError``. Only the live states' answers are
+    kept, so boundary values stay exact.
     """
     import numpy as np
 
@@ -511,19 +572,18 @@ def absorption_solve(space: StateSpace) -> SolveResult:
     half[even_ids] = np.arange(even_ids.size)
     from_odd = odd[rows]
     from_even = ~from_odd
-    q_oe = _csr(half[rows[from_odd]], half[cols[from_odd]], probs[from_odd],
-                (odd_ids.size, even_ids.size))
-    q_eo = _csr(half[rows[from_even]], half[cols[from_even]],
-                probs[from_even], (even_ids.size, odd_ids.size))
+    q_oe = _Block(half[rows[from_odd]], half[cols[from_odd]],
+                  probs[from_odd], (odd_ids.size, even_ids.size))
+    q_eo = _Block(half[rows[from_even]], half[cols[from_even]],
+                  probs[from_even], (even_ids.size, odd_ids.size))
 
     # Grow the states that can reach absorption from the absorbing ones,
-    # a half at a time, until a pass adds none. _check_transitions keeps
-    # every probability >= 0, so a product is > 0 exactly where a p > 0
-    # transition enters the set; the blocks' p = 0 entries add nothing.
+    # a half at a time, until a pass adds none: a state joins when a
+    # p > 0 transition enters the set.
     reached = space.absorbing.copy()
     while True:
-        at_odd = reached[odd_ids] | (q_oe @ reached[even_ids] > 0.0)
-        at_even = reached[even_ids] | (q_eo @ at_odd > 0.0)
+        at_odd = reached[odd_ids] | q_oe.reaches(reached[even_ids])
+        at_even = reached[even_ids] | q_eo.reaches(at_odd)
         if at_odd.sum() + at_even.sum() == reached.sum():
             break
         reached[odd_ids], reached[even_ids] = at_odd, at_even

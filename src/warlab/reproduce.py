@@ -107,9 +107,13 @@ def rules_suite() -> list[dict]:
     for name in RULE_NAMES:
         rule = rule_by_name(name)
         for label, deck in decks:
-            if name in ("greater", "max-holder") and deck.has_repeated_ranks:
-                continue
-            report = validate_rule(rule, deck)
+            try:
+                report = validate_rule(rule, deck)
+            except ValueError:
+                # A rule that refuses tied ranks has no row on such decks.
+                if deck.has_repeated_ranks:
+                    continue
+                raise
             cases.append(_check(
                 "rules", f"{name} on {label}", report.max_violation,
                 VIOLATION_TOL,

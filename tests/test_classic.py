@@ -41,6 +41,12 @@ class TestTiePolicy:
         with pytest.raises(ValueError):
             TiePolicy(**kw)
 
+    def test_unknown_kind_names_the_valid_ones(self):
+        with pytest.raises(ValueError) as exc:
+            TiePolicy(kind="sudden_death")
+        assert str(exc.value) == ("tie policy must be 'war_round' or "
+                                  "'coin_flip', got 'sudden_death'")
+
 
 class TestClassicStep:
     def test_high_card_takes_pile(self):

@@ -14,6 +14,7 @@ import pytest
 import warlab
 from warlab import cli, exact
 from warlab.cli import main
+from warlab import reproduce
 from warlab.reproduce import scaling_target
 from warlab.rules import strength_builtin
 from warlab.stats import read_csv_with_metadata
@@ -395,6 +396,49 @@ class TestVerify:
     def test_theorem_suite_passes(self):
         assert main(["verify", "theorem"]) == 0
 
+    def test_rules_suite_skips_rules_that_refuse_tied_ranks(self):
+        """Only the rules that raise on tied ranks lack a 3x2 row."""
+        checks = [row["check"] for row in reproduce.rules_suite()]
+        for name in ("greater", "max-holder"):
+            assert f"{name} on 3x2" not in checks
+            assert f"{name} on 6x1" in checks
+        assert "greater-tiecoin on 3x2" in checks
+        assert len(checks) == 3 * len(reproduce.RULE_NAMES) - 2
+
+    def test_rules_suite_asks_the_rule(self, monkeypatch):
+        """Whichever rule raises ValueError on tied ranks loses its 3x2
+        row, not a list of names."""
+        real = reproduce.validate_rule
+
+        def coin_refuses_ties(rule, deck):
+            if rule.name == "coin" and deck.has_repeated_ranks:
+                raise ValueError("tied ranks")
+            return real(rule, deck)
+
+        monkeypatch.setattr(reproduce, "validate_rule", coin_refuses_ties)
+        checks = [row["check"] for row in reproduce.rules_suite()]
+        assert "coin on 3x2" not in checks
+        assert "coin on 4x1" in checks
+
+    @pytest.mark.parametrize("error, tied", [
+        (ValueError("deck too large"), False),
+        (TypeError("broken rule"), True),
+    ])
+    def test_rules_suite_raises_other_failures(self, monkeypatch, error,
+                                                tied):
+        """A ValueError on a distinct-rank deck, or any other exception,
+        is not a skip."""
+        real = reproduce.validate_rule
+
+        def failing(rule, deck):
+            if deck.has_repeated_ranks == tied:
+                raise error
+            return real(rule, deck)
+
+        monkeypatch.setattr(reproduce, "validate_rule", failing)
+        with pytest.raises(type(error), match=str(error)):
+            reproduce.rules_suite()
+
     def test_writes_table(self, tmp_path):
         """The CSV comment line round-trips to the flat run metadata, the
         same object the JSON output stores under "metadata"."""
@@ -670,16 +714,19 @@ class TestEntryPoints:
             assert sub in proc.stdout
 
     def test_import_leaves_scipy_sparse_unloaded(self):
-        """Only a solve loads scipy.sparse; ``import warlab`` does not."""
+        """Neither ``import warlab`` nor a GMRES solve loads any scipy
+        module."""
         proc = _child("-c", (
-            "import sys, warlab; print('scipy.sparse' in sys.modules); "
+            "import sys, warlab; "
+            "loaded = lambda: any(m.split('.')[0] == 'scipy' "
+            "for m in sys.modules); print(loaded()); "
             "from warlab.core import build_deck; "
             "from warlab.rules import rule_coin; "
-            "warlab.exact.absorption_solve(warlab.exact.enumerate_pwar("
+            "r = warlab.exact.absorption_solve(warlab.exact.enumerate_pwar("
             "build_deck((4, 1)), rule_coin())); "
-            "print('scipy.sparse' in sys.modules)"))
+            "print(r.method, loaded())"))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.split() == ["False", "gmres", "False"]
 
     def test_workers_env_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WARLAB_WORKERS", "2")
