@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 
 import warlab
-from warlab import cli, exact
+from warlab import cli, exact, reproduce
 from warlab.cli import main
-from warlab import reproduce
 from warlab.reproduce import scaling_target
 from warlab.rules import strength_builtin
 from warlab.stats import read_csv_with_metadata

@@ -779,7 +779,9 @@ class TestBlock:
         ref = _row_sums(rows, cols, probs, 1, v.tolist())
         got = exact._Block(rows, cols, probs, (1, 4)) @ v
         assert got.tobytes() == ref.tobytes()
-        assert ref.tolist() != [math.fsum(v[cols].tolist())]
+        pairwise = np.add.reduce((probs * v[cols])[:, None], axis=0,
+                                 initial=0.0)
+        assert pairwise.tobytes() != ref.tobytes()
 
     @pytest.mark.parametrize("rows, cols", [
         ([0, 1], [0, 3]), ([0, 1], [-1, 0]), ([0, 2], [0, 1]),
