@@ -26,9 +26,8 @@ from .reproduce import (
     VERIFY_SUITES,
 )
 from .rules import (DEFAULT_STRENGTH, RULE_NAMES, STRENGTH_KINDS,
-                    SYMMETRIC_RULES)
+                    STRENGTH_PARAMS, STRENGTH_RULES, SYMMETRIC_RULES)
 from .stats import (
-    default_workers,
     histogram,
     run_metadata,
     run_trials,
@@ -38,13 +37,13 @@ from .stats import (
     write_table_csv,
 )
 
+#: The strength options: ``--strength`` and each family's parameter.
+_STRENGTH_OPTIONS = {"strength", *STRENGTH_PARAMS.values()}
 #: The game-specific options each game reads. An option of another game
 #: must keep its parser default (built in or from ``--config``).
 _GAME_OPTIONS = {
-    "pwar": {"deck", "rule", "uniform_size", "split", "strength", "shift",
-             "lam"},
-    "fwar": {"n", "deal", "return_order", "split", "strength", "shift",
-             "lam"},
+    "pwar": {"deck", "rule", "uniform_size", "split", *_STRENGTH_OPTIONS},
+    "fwar": {"n", "deal", "return_order", "split", *_STRENGTH_OPTIONS},
     "classic": {"deck", "tie", "face_down", "min_hand"},
 }
 
@@ -76,33 +75,33 @@ def _deck_label(spec: tuple) -> str:
 
 
 def _strength_param(args) -> Optional[float]:
-    """The one parameter of ``--strength``: ``--lam`` or ``--shift``."""
-    return args.lam if args.strength == "exponential" else args.shift
+    """The parameter of the ``--strength`` family, or None when the
+    family takes none."""
+    name = STRENGTH_PARAMS.get(args.strength)
+    return None if name is None else getattr(args, name)
 
 
 def _reject_unread_options(command, args) -> None:
     """Raise naming the first option the chosen settings do not read
     that is off its parser default, so no asked-for setting or check is
     dropped unseen. Unread are the options of other games, the strength
-    options of a random-draw rule other than ``bradley-terry``, the
-    parameter of a strength family that takes the other one (``--shift``
-    of ``shifted``, ``--lam`` of ``exponential``), ``--split`` of a
-    top-card deal other than ``uniform`` and ``--face-down`` of
-    ``--tie coin``."""
+    options of a random-draw rule that takes no strength, the
+    parameters of ``STRENGTH_PARAMS`` other than the chosen family's,
+    ``--split`` of a top-card deal other than ``uniform`` and
+    ``--face-down`` of ``--tie coin``."""
     others = set().union(*_GAME_OPTIONS.values()) - _GAME_OPTIONS[args.game]
     unread = dict.fromkeys(others, f"--game {args.game}")
-    if args.game == "pwar" and args.rule != "bradley-terry":
-        unread.update(dict.fromkeys(("strength", "shift", "lam"),
-                                    f"--rule {args.rule}"))
+    if args.game == "pwar" and args.rule not in STRENGTH_RULES:
+        unread.update(dict.fromkeys(_STRENGTH_OPTIONS, f"--rule {args.rule}"))
     elif args.game == "classic":
         if TIE_KINDS[args.tie] == "coin_flip":
             unread["face_down"] = f"--tie {args.tie}"
     else:
         kind = args.strength or DEFAULT_STRENGTH
-        if kind != "shifted":
-            unread["shift"] = f"--strength {kind}"
-        if kind != "exponential":
-            unread["lam"] = f"--strength {kind}"
+        read = STRENGTH_PARAMS.get(kind)
+        for name in STRENGTH_PARAMS.values():
+            if name != read:
+                unread[name] = f"--strength {kind}"
         if args.game == "fwar" and args.deal != "uniform":
             unread["split"] = f"--deal {args.deal}"
     for dest, action in command.options.items():
@@ -391,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, default=0,
                            help="base seed; trial i uses stream id i")
-            p.add_argument("--workers", type=int, default=None,
-                           help="parallel workers (default: WARLAB_WORKERS "
-                                "env var, else 1)")
+            p.add_argument("--workers", type=int, default=1,
+                           help="parallel workers")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output file path")
         p.add_argument("--config",
@@ -526,8 +524,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "game" in vars(args):
             _reject_unread_options(parser.commands[args.command], args)
-        if "workers" in vars(args) and args.workers is None:
-            args.workers = default_workers()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

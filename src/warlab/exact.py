@@ -26,8 +26,8 @@ halves are built once from the transition triplets, the
 almost-sure-absorption pre-check runs on them, and GMRES runs on the odd
 half alone. :func:`gmres` is written here over numpy (block
 Gram-Schmidt, Givens rotations in Python floats), and the blocks are
-numpy arrays stored slot-major, whose products sum each row in the
-order scipy's CSR product does. numpy and scipy are both imported inside
+numpy arrays stored slot-major, whose products sum each row in
+triplet order. numpy and scipy are both imported inside
 the functions that use them, so importing this module loads neither; a
 solve loads scipy only when it falls back to sparse LU.
 """
@@ -371,8 +371,7 @@ class _Block:
     of row i holds row i's j-th triplet in the order given, and shorter
     rows are padded with column 0 and p = 0. A product takes ``v`` at
     every slot, multiplies by p and sums each row from 0.0 slot by slot,
-    which is the order scipy's ``csr_matvec`` sums a CSR row in, so
-    ``block @ v`` is bit-identical to ``_csr(...) @ v``. Padding adds
+    so each row is summed in triplet order. Padding adds
     0 * v[0], which leaves a sum started at +0.0 unchanged while v is
     finite. A repeated (row, col) pair adds up in products.
     """
@@ -421,23 +420,6 @@ class _Block:
         """Rows with a p > 0 entry in a column where boolean ``v`` holds."""
         hit = v.take(self.cols, mode="clip") & (self.probs > 0.0)
         return hit.any(axis=0)
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-         shape: tuple):
-    """The triplets as a scipy CSR matrix, for the sparse-LU fallback. A
-    stable sort by row, linear when ``rows`` already ascend as the
-    enumerators emit them, keeps each row's triplets in their order; a
-    repeated (row, col) pair adds up in products."""
-    import numpy as np
-    from scipy.sparse import csr_matrix
-
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return csr_matrix(
-        (values[order], cols[order].astype(np.int32), indptr), shape=shape
-    )
 
 
 def gmres(apply, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -620,12 +602,12 @@ def absorption_solve(space: StateSpace) -> SolveResult:
         x[even_ids] = b_even + q_eo @ x_odd
         gaps.append(gap(x, b))
         if info != 0 or gaps[-1] > RESIDUAL_TOL:
-            from scipy.sparse import identity
+            from scipy.sparse import csc_matrix, identity
             from scipy.sparse.linalg import splu
 
-            a_mat = identity(n, format="csr") - _csr(rows, cols, probs,
-                                                     (n, n))
-            lu = splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            a_mat = identity(n, format="csc") - csc_matrix(
+                (probs, (rows, cols)), shape=(n, n))
+            lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A")
             xs = [lu.solve(v) for v in rhs]
             gaps = [gap(x, b) for x, b in zip(xs, rhs)]
             method = "splu"

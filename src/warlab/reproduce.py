@@ -126,16 +126,10 @@ def rules_suite() -> list[dict]:
 def theorem_suite() -> list[dict]:
     """Symmetric rules map uniform hands of each size to uniform hands."""
     cases = []
-    symmetric = [
-        ("coin", None),
-        ("greater-tiecoin", None),
-        ("powered", None),
-        ("bradley-terry", None),
-    ]
     for size in (4, 6, 8, 10, 12):
         deck = build_deck((size, 1))
-        for name, strength in symmetric:
-            rule = rule_by_name(name, strength)
+        for name in SYMMETRIC_RULES:
+            rule = rule_by_name(name)
             worst = 0.0
             for k in range(1, size):
                 worst = max(

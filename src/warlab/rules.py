@@ -142,8 +142,9 @@ def strength_builtin(
 
     - ``constant``: f(a) = 1, a simple random walk.
     - ``identity``: f(a) = a, the gladiator-duel weighting.
-    - ``shifted``: f(a) = a + shift (the family whose absorption time
-      scales quadratically when shift equals the deck size).
+    - ``shifted``: f(a) = a + shift, shift a non-negative integer (the
+      family whose absorption time scales quadratically when shift
+      equals the deck size).
     - ``exponential``: f(a) = exp(lam * a); play approaches
       higher-card-always-wins as lam grows.
     """
@@ -156,6 +157,8 @@ def strength_builtin(
             raise ValueError("shifted strength requires a shift value")
         if shift < 0:
             raise ValueError("shift must be non-negative")
+        if not float(shift).is_integer():
+            raise ValueError(f"shift must be an integer, got {shift!r}")
         s = int(shift)
         return StrengthFunction(
             name="shifted", f=lambda a, _s=s: float(a + _s),
@@ -177,26 +180,28 @@ def strength_builtin(
 
 
 STRENGTH_KINDS = ("constant", "identity", "shifted", "exponential")
+#: The one parameter of each strength family that takes one, by the
+#: keyword of :func:`strength_builtin` (and flag of the command line).
+STRENGTH_PARAMS = {"shifted": "shift", "exponential": "lam"}
 
 
 def strength_from_spec(
     kind: str, param: Optional[float], max_rank: int
 ) -> StrengthFunction:
     """Strength family ``kind`` with its one optional parameter, as trial
-    configs and the command line spell it: ``param`` is the shift of
-    ``shifted`` (default ``max_rank``, the deck's top rank) and the lam of
-    ``exponential``; the other families ignore it."""
-    if kind == "shifted":
-        return strength_builtin(
-            kind, shift=max_rank if param is None else int(param)
-        )
-    if kind == "exponential":
-        return strength_builtin(kind, lam=param)
-    return strength_builtin(kind)
+    configs and the command line spell it: ``param`` is the family's
+    parameter in ``STRENGTH_PARAMS`` (a shift defaults to ``max_rank``,
+    the deck's top rank); the other families ignore it."""
+    name = STRENGTH_PARAMS.get(kind)
+    if name is None:
+        return strength_builtin(kind)
+    if name == "shift" and param is None:
+        param = max_rank
+    return strength_builtin(kind, **{name: param})
 
 
 #: Built-in rule factories by the name the CLI and trial configs use;
-#: ``bradley-terry``'s takes the strength function.
+#: those of ``STRENGTH_RULES`` take the strength function.
 _RULES = {
     "coin": rule_coin,
     "greater": rule_greater,
@@ -206,6 +211,8 @@ _RULES = {
     "max-holder": rule_max_holder,
 }
 RULE_NAMES = tuple(_RULES)
+#: The built-in rules that read a strength function.
+STRENGTH_RULES = ("bradley-terry",)
 #: The built-in rules with p_{a,b}(S) + p_{b,a}(S) = 1, under which hand
 #: size is a fair walk; ``max-holder`` alone is not symmetric.
 SYMMETRIC_RULES = tuple(name for name in RULE_NAMES if name != "max-holder")
@@ -222,9 +229,9 @@ def rule_by_name(
         raise ValueError(
             f"unknown rule {name!r}; valid names: {', '.join(RULE_NAMES)}"
         )
-    if name != "bradley-terry":
+    if name not in STRENGTH_RULES:
         return _RULES[name]()
-    return rule_bradley_terry(strength or strength_builtin(DEFAULT_STRENGTH))
+    return _RULES[name](strength or strength_builtin(DEFAULT_STRENGTH))
 
 
 # ---------------------------------------------------------------------------

@@ -161,22 +161,6 @@ def run_trials(
             os.waitpid(pid, 0)
 
 
-def default_workers() -> int:
-    """Worker count from the WARLAB_WORKERS environment variable, else 1."""
-    value = os.environ.get("WARLAB_WORKERS")
-    if value is None:
-        return 1
-    try:
-        workers = int(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"WARLAB_WORKERS must be an integer, got {value!r}"
-        ) from exc
-    if workers < 1:
-        raise ValueError("WARLAB_WORKERS must be at least 1")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # Summaries
 # ---------------------------------------------------------------------------

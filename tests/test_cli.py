@@ -395,6 +395,14 @@ class TestVerify:
     def test_theorem_suite_passes(self):
         assert main(["verify", "theorem"]) == 0
 
+    def test_theorem_suite_checks_every_symmetric_rule(self):
+        """One row for each symmetric rule at each deck size."""
+        checks = [row["check"] for row in reproduce.theorem_suite()]
+        assert sorted(checks) == sorted(
+            f"uniformity preserved: {name} on {size}x1"
+            for name in reproduce.SYMMETRIC_RULES
+            for size in (4, 6, 8, 10, 12))
+
     def test_rules_suite_skips_rules_that_refuse_tied_ranks(self):
         """Only the rules that raise on tied ranks lack a 3x2 row."""
         checks = [row["check"] for row in reproduce.rules_suite()]
@@ -625,6 +633,19 @@ class TestConfigFile:
         assert payload["metadata"]["n_trials"] == 123  # from file
         assert payload["metadata"]["seed"] == 9  # flag wins
 
+    def test_unread_parameter_not_recorded(self, tmp_path):
+        """A config value of the parameter another strength family takes
+        is ignored, and the run's config does not record it."""
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"shift": 5, "lam": 2.0}))
+        out = str(tmp_path / "o.json")
+        assert main(["simulate", "--game", "fwar", "--n", "4", "--trials",
+                     "5", "--config", str(cfg), "--format", "json",
+                     "--out", out]) == 0
+        config = json.loads(open(out).read())["metadata"]["config"]
+        assert (config["strength"], config["strength_param"]) == (
+            "identity", None)
+
     @pytest.mark.parametrize("argv,values,key", [
         (["verify", "identity"], {"format": "xml", "trials": 5}, "format"),
         (["simulate", "--game", "classic", "--trials", "5"],
@@ -670,9 +691,19 @@ class TestGameOptions:
           "--split", "2", "--trials", "5"], "--split", "--deal iid"),
         (["simulate", "--game", "classic", "--deck", "4x1", "--tie", "coin",
           "--face-down", "3", "--trials", "5"], "--face-down", "--tie coin"),
+        (["exact", "--game", "fwar", "--n", "3", "--strength",
+          "exponential", "--lam", "1", "--shift", "2"], "--shift",
+         "--strength exponential"),
+        (["exact", "--game", "pwar", "--deck", "4x1", "--rule",
+          "bradley-terry", "--strength", "identity", "--shift", "2"],
+         "--shift", "--strength identity"),
+        (["simulate", "--game", "fwar", "--n", "4", "--strength",
+          "constant", "--lam", "0.5", "--trials", "5"], "--lam",
+         "--strength constant"),
     ], ids=["exact-fwar", "exact-pwar", "simulate-classic",
             "simulate-pwar-strength", "exact-fwar-lam", "simulate-fwar-split",
-            "simulate-classic-face-down"])
+            "simulate-classic-face-down", "exact-fwar-shift-exponential",
+            "exact-pwar-shift-identity", "simulate-fwar-lam-constant"])
     def test_unread_flag_rejected(self, tmp_path, capsys, argv, flag, by):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 2
@@ -727,32 +758,14 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "gmres", "False"]
 
-    def test_workers_env_default(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("WARLAB_WORKERS", "2")
-        out = str(tmp_path / "w.json")
-        rc = main([
-            "simulate", "--game", "pwar", "--deck", "6x1",
-            "--trials", "64", "--format", "json", "--out", out,
-        ])
-        assert rc == 0
-        assert json.loads(open(out).read())["metadata"]["workers"] == 2
-
-    def test_unseeded_commands_take_no_workers(self, monkeypatch):
+    def test_unseeded_commands_take_no_workers(self):
         """exact and verify draw no randomness, so they take neither
-        --seed nor --workers and ignore WARLAB_WORKERS."""
-        monkeypatch.setenv("WARLAB_WORKERS", "zero")
+        --seed nor --workers."""
         assert main(["verify", "identity"]) == 0
         assert main(["exact", "--game", "pwar", "--deck", "4x1"]) == 0
         with pytest.raises(SystemExit) as exc:
             main(["exact", "--game", "pwar", "--deck", "4x1", "--seed", "5"])
         assert exc.value.code == 2
-
-    def test_bad_workers_env(self, monkeypatch):
-        monkeypatch.setenv("WARLAB_WORKERS", "zero")
-        assert main([
-            "simulate", "--game", "pwar", "--deck", "6x1",
-            "--trials", "5",
-        ]) == 2
 
 
 #: The names ``warlab`` takes from ``warlab.exact``.

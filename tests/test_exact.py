@@ -749,15 +749,6 @@ class TestBlock:
                                           v.tolist()).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(_triplet_blocks())
-    def test_product_matches_scipy_csr(self, case):
-        pytest.importorskip("scipy.sparse")
-        rows, cols, probs, shape, v = case
-        got = exact._Block(rows, cols, probs, shape) @ v
-        assert got.tobytes() == (exact._csr(rows, cols, probs, shape)
-                                 @ v).tobytes()
-
-    @settings(max_examples=100, deadline=None)
     @given(_triplet_blocks(), st.data())
     def test_reaches_rows_with_a_positive_entry(self, case, data):
         rows, cols, probs, shape, _ = case

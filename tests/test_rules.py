@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warlab.core import StrengthFunction, build_deck
+from warlab.fwar import FwarConfig
 from warlab.rules import (
     VIOLATION_TOL,
     rule_bradley_terry,
@@ -220,6 +221,16 @@ class TestStrengthBuiltins:
     def test_shifted_requires_shift(self):
         with pytest.raises(ValueError):
             strength_builtin("shifted")
+
+    def test_shift_must_be_an_integer(self):
+        """A fractional shift is refused, not truncated; an integral float
+        is the integer."""
+        with pytest.raises(ValueError, match="2.5"):
+            strength_builtin("shifted", shift=2.5)
+        with pytest.raises(ValueError, match="2.5"):
+            FwarConfig(n=4, strength="shifted", strength_param=2.5).build()
+        assert strength_builtin("shifted", shift=32.0).describe() == (
+            strength_builtin("shifted", shift=32).describe())
 
     def test_exponential_requires_finite_lam(self):
         with pytest.raises(ValueError):
