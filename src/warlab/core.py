@@ -275,14 +275,15 @@ class PairTable:
     ``by_size[k]``, for hand sizes k = 1..d-1, is a flat table of d*d
     floats: p of card ``a`` against card ``b`` sits at ``a * d + b`` and
     is NaN until :meth:`fill` computes it; the diagonal (a card against
-    itself) is 0. A ``"cards"`` rule has one table, a list shared by
-    every k, filled with an empty ``s`` when the table is made (see
-    ``walk_p``). A ``"size"`` rule has one
-    ``array('d')`` per k (d^3 doubles in all), each entry filled on first
-    read with the canonical rest of a size-k hand: the lowest k-1 ids
-    other than a and b. The
-    Monte Carlo engine and exact enumeration both read p from here, so
-    they share one evaluation per entry.
+    itself) is 0. A p outside [0, 1], or NaN, is never stored, so play
+    meets it only through :meth:`fill`, and rejects it there. A
+    ``"cards"`` rule has one table, a list shared by every k, filled
+    with an empty ``s`` when the table is made (see ``walk_p``). A
+    ``"size"`` rule has one ``array('d')`` per k (d^3 doubles in all),
+    each entry filled on first read with the canonical rest of a size-k
+    hand: the lowest k-1 ids other than a and b. The Monte Carlo engine
+    and exact enumeration both read p from here, so they share one
+    evaluation per entry.
 
     ``walk_p`` is the p that a ``"cards"`` rule gives every pair of
     distinct cards, and None when the pairs differ, when the rule reads
@@ -335,20 +336,20 @@ class PairTable:
             s = frozenset(rest[:k - 1])
         cards = deck.cards
         p = self.rule.eval(cards[a_id], cards[b_id], s, deck)
-        self.by_size[k][a_id * deck.size + b_id] = p
+        if 0.0 <= p <= 1.0:
+            self.by_size[k][a_id * deck.size + b_id] = p
         return p
 
     def filled(self, k: int) -> Sequence[float]:
-        """``by_size[k]`` with every entry filled, in ascending (a, b)
-        order."""
+        """p of every ordered pair at hand size ``k`` in ascending (a, b)
+        order: ``by_size[k]``, its missing entries evaluated."""
         table = self.by_size[k]
         total = sum(table)
-        if total != total:  # some entry is still NaN
-            d = self.deck.size
-            for i, p in enumerate(table):
-                if p != p:
-                    self.fill(i // d, i % d, k)
-        return table
+        if total == total:  # no entry is NaN
+            return table
+        d = self.deck.size
+        return [p if p == p else self.fill(i // d, i % d, k)
+                for i, p in enumerate(table)]
 
 
 @dataclass(frozen=True)

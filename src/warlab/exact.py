@@ -30,6 +30,12 @@ numpy arrays stored slot-major, whose products sum each row in
 triplet order. numpy and scipy are both imported inside
 the functions that use them, so importing this module loads neither; a
 solve loads scipy only when it falls back to sparse LU.
+
+Memory: a chain holds 16 bytes per transition (int32 row and column,
+float64 p). A solve copies each half's triplets once, straight into its
+block (16 bytes per slot: an intp column and p), and the two blocks
+share one product scratch; the triplets are filtered again only if the
+sparse-LU fallback runs.
 """
 
 from __future__ import annotations
@@ -80,8 +86,10 @@ class AbsorptionError(ValueError):
 class StateSpace:
     """Enumerated chain: states, sparse transitions, absorption labels.
 
-    ``trans_rows/cols/probs`` are aligned triplet arrays; ``absorbing``
-    flags absorbing states and ``absorbing_win`` is 1.0 where the first
+    ``trans_rows/cols/probs`` are aligned triplet arrays, the state
+    indices int32 (the enumerators refuse a chain whose indices would
+    not fit) and the probabilities float64; ``absorbing`` flags
+    absorbing states and ``absorbing_win`` is 1.0 where the first
     player has won. ``states`` is an int64 array: the masks (random-draw
     flavor) or one row of card ids per state, hand A front to back then
     hand B, split at ``hand_size`` (|A| of each state, int64; top-card
@@ -165,6 +173,19 @@ def _check_transitions(space: StateSpace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _index_dtype(n_states: int) -> type:
+    """int32, the dtype of the triplets' state indices, once the largest
+    index of ``n_states`` states is checked to fit it."""
+    import numpy as np
+
+    if n_states - 1 > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"{n_states} states exceed the int32 state indices of the "
+            f"transition triplets"
+        )
+    return np.int32
+
+
 def _sizes(d: int) -> np.ndarray:
     """Hand size (popcount) of every mask of a ``d``-card deck."""
     import numpy as np
@@ -193,7 +214,8 @@ def _pwar_rows(deck: Deck, rule: WinningRule, k: int,
     Each of the k(d-k) card pairs is drawn with probability 1/(k(d-k)),
     then resolved by the rule with probability p[a, b]. A ``"hand"`` rule
     makes one ``eval`` per state and pair with the rest of the hand as
-    ``s``; the others take p from :func:`_pair_table`. Returns
+    ``s``; the others take p from :func:`_pair_table`, one card column
+    at a time, so no (states, k, d-k) array of p is made. Returns
     the next masks and their probabilities as two (len(masks), d) arrays,
     one row per state with its d distinct successors in the order the
     pairs first reach them: win(b0), lose(a0), win(b1..), lose(a1..) over
@@ -216,15 +238,20 @@ def _pwar_rows(deck: Deck, rule: WinningRule, k: int,
                 s = frozenset(a_row[:i] + a_row[i + 1:])
                 for j, b_id in enumerate(b_row):
                     p[m, i, j] = ev(cards[a_id], cards[b_id], s, deck)
+        p_of_a = [p[:, i, :] for i in range(k)]
+        p_of_b = [p[:, :, j] for j in range(d - k)]
     else:
-        p = _pair_table(deck, rule, k)[a[:, :, None], b[:, None, :]]
+        table = _pair_table(deck, rule, k).ravel()
+        at_a = a * d
+        p_of_a = (table.take(at_a[:, i, None] + b) for i in range(k))
+        p_of_b = (table.take(at_a + b[:, j, None]) for j in range(d - k))
     base = 1.0 / (k * (d - k))
     win = np.zeros((n, d - k))
-    for i in range(k):
-        win += base * p[:, i, :]
+    for p in p_of_a:
+        win += base * p
     lose = np.zeros((n, k))
-    for j in range(d - k):
-        lose += base * (1.0 - p[:, :, j])
+    for p in p_of_b:
+        lose += base * (1.0 - p)
     win_next = masks[:, None] | (1 << b)
     lose_next = masks[:, None] ^ (1 << a)
     cols = np.concatenate((win_next[:, :1], lose_next[:, :1],
@@ -255,12 +282,13 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
         )
     full = (1 << d) - 1
     n_states = 1 << d
+    index = _index_dtype(n_states)
     absorbing = np.zeros(n_states, dtype=bool)
     absorbing[0] = absorbing[full] = True
     win = np.zeros(n_states)
     win[full] = 1.0
     sizes = _sizes(d)
-    cols = np.zeros((n_states, d), dtype=np.int64)
+    cols = np.zeros((n_states, d), dtype=index)
     probs = np.zeros((n_states, d))
     for k in range(1, d):
         masks = np.flatnonzero(sizes == k)
@@ -268,7 +296,7 @@ def enumerate_pwar(deck: Deck, rule: WinningRule) -> StateSpace:
     space = StateSpace(
         flavor="pwar_subsets",
         states=np.arange(n_states, dtype=np.int64),
-        trans_rows=np.repeat(np.arange(1, full, dtype=np.int64), d),
+        trans_rows=np.repeat(np.arange(1, full, dtype=index), d),
         trans_cols=cols[1:full].ravel(),
         trans_probs=probs[1:full].ravel(),
         absorbing=absorbing,
@@ -343,11 +371,12 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
     p = fa / (fa + fb)
     probs = np.stack((p * 0.5, p * 0.5, (1 - p) * 0.5, (1 - p) * 0.5),
                      axis=1)
+    index = _index_dtype(len(codes))
     space = StateSpace(
         flavor="fwar_ordered",
         states=states,
-        trans_rows=np.repeat(transient, 4),
-        trans_cols=np.searchsorted(codes, successors.ravel()),
+        trans_rows=np.repeat(transient.astype(index), 4),
+        trans_cols=np.searchsorted(codes, successors.ravel()).astype(index),
         trans_probs=probs.ravel(),
         absorbing=absorbing,
         absorbing_win=(hand_size == n).astype(np.float64),
@@ -370,10 +399,17 @@ class _Block:
     ``cols`` (intp) and ``probs`` have shape (longest row, rows): slot j
     of row i holds row i's j-th triplet in the order given, and shorter
     rows are padded with column 0 and p = 0. A product takes ``v`` at
-    every slot, multiplies by p and sums each row from 0.0 slot by slot,
-    so each row is summed in triplet order. Padding adds
-    0 * v[0], which leaves a sum started at +0.0 unchanged while v is
-    finite. A repeated (row, col) pair adds up in products.
+    every slot into a scratch array of that shape, multiplies by p and
+    sums each row from 0.0 slot by slot, so each row is summed in triplet
+    order. Padding adds 0 * v[0], which leaves a sum started at +0.0
+    unchanged while v is finite. A repeated (row, col) pair adds up in
+    products.
+
+    Triplets whose rows ascend with one length, as both enumerators emit
+    them, are copied into place from their ``(rows, width)`` views; any
+    others take a stable sort by row and a scatter. The scratch array is
+    made at the first product, unless :func:`absorption_solve` has given
+    the block a share of the one its two blocks use in turn.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
@@ -390,7 +426,6 @@ class _Block:
         self.probs = np.zeros((width, n_rows))
         filled = np.flatnonzero(counts)
         if (counts[filled] == width).all() and (rows[1:] >= rows[:-1]).all():
-            # Ascending rows of one length, as both enumerators emit them.
             self.cols[:, filled] = cols.reshape(filled.size, width).T
             self.probs[:, filled] = probs.reshape(filled.size, width).T
         else:
@@ -399,12 +434,14 @@ class _Block:
             slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
             self.cols[slot, row] = cols[order]
             self.probs[slot, row] = probs[order]
-        self._buf = np.empty((width, n_rows))
+        self._buf = None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         import numpy as np
 
         buf = self._buf
+        if buf is None:
+            buf = self._buf = np.empty(self.probs.shape)
         v.take(self.cols, out=buf, mode="clip")
         np.multiply(buf, self.probs, out=buf)
         if buf.shape[1] != 1:
@@ -514,17 +551,19 @@ def absorption_solve(space: StateSpace) -> SolveResult:
     hand-size parity raises ``ValueError``. Otherwise ``I - Q`` is
     ``[[I, -Q_oe], [-Q_eo, I]]`` between the states of odd and of even
     ``hand_size``, and the two blocks are built once as :class:`_Block`
-    arrays, with each state numbered within its half. States that cannot
+    arrays, with each state numbered within its half and each half's
+    triplets picked by a boolean mask. States that cannot
     reach absorption through them raise ``AbsorptionError`` with a
-    recurrent-class witness. :func:`gmres` then solves each system on its odd half,
-    ``(I - Q_oe Q_eo) x_o = b_o + Q_oe b_e``, and ``x_e = b_e + Q_eo x_o``.
+    recurrent-class witness. :func:`gmres` then solves each system on
+    its odd half, ``(I - Q_oe Q_eo) x_o = b_o + Q_oe b_e``, and
+    ``x_e = b_e + Q_eo x_o``.
     If either does not converge or its max-abs residual on the whole
     system exceeds ``RESIDUAL_TOL``, both go through one sparse-LU
     factorization of the whole ``I - Q`` instead, the only place it is
     built and the only place scipy is imported (LU fill makes that path
-    slow on the largest chains). A residual above ``RESIDUAL_TOL`` after
-    either path raises ``ValueError``. Only the live states' answers are
-    kept, so boundary values stay exact.
+    slow on the largest chains). A residual
+    above ``RESIDUAL_TOL`` after either path raises ``ValueError``. Only
+    the live states' answers are kept, so boundary values stay exact.
     """
     import numpy as np
 
@@ -537,8 +576,10 @@ def absorption_solve(space: StateSpace) -> SolveResult:
                            residual=0.0, matvecs=0)
     rows, cols, probs = space.trans_rows, space.trans_cols, space.trans_probs
     odd = space.hand_size % 2 == 1
-    from_live = live[rows]
-    same = from_live & (odd[rows] == odd[cols])
+    from_odd = odd[rows]
+    keep = live[rows]
+    same = from_odd == odd[cols]
+    same &= keep
     step = np.flatnonzero(same & (probs > 0.0))
     if step.size:
         i, j = rows[step[0]], cols[step[0]]
@@ -546,18 +587,24 @@ def absorption_solve(space: StateSpace) -> SolveResult:
             f"state {space.state_label(i)} moves to state "
             f"{space.state_label(j)} of the same hand-size parity"
         )
-    keep = from_live & ~same
-    rows, cols, probs = rows[keep], cols[keep], probs[keep]
+    keep &= ~same
+    del same  # masks and numbering are freed once no longer read
     odd_ids, even_ids = np.flatnonzero(odd), np.flatnonzero(~odd)
-    half = np.empty(n, dtype=np.int32)
+    half = np.empty(n, dtype=np.intp)
     half[odd_ids] = np.arange(odd_ids.size)
     half[even_ids] = np.arange(even_ids.size)
-    from_odd = odd[rows]
-    from_even = ~from_odd
-    q_oe = _Block(half[rows[from_odd]], half[cols[from_odd]],
-                  probs[from_odd], (odd_ids.size, even_ids.size))
-    q_eo = _Block(half[rows[from_even]], half[cols[from_even]],
-                  probs[from_even], (even_ids.size, odd_ids.size))
+
+    def block(sel, shape):
+        return _Block(half[rows[sel]], half[cols[sel]], probs[sel], shape)
+
+    q_oe = block(keep & from_odd, (odd_ids.size, even_ids.size))
+    q_eo = block(keep & ~from_odd, (even_ids.size, odd_ids.size))
+    del from_odd, half
+    # A product leaves nothing in its scratch that the next one reads,
+    # and the blocks' products run one after the other: one scratch.
+    scratch = np.empty(max(q_oe.probs.size, q_eo.probs.size))
+    for q in (q_oe, q_eo):
+        q._buf = scratch[:q.probs.size].reshape(q.probs.shape)
 
     # Grow the states that can reach absorption from the absorbing ones,
     # a half at a time, until a pass adds none: a state joins when a
@@ -606,7 +653,7 @@ def absorption_solve(space: StateSpace) -> SolveResult:
             from scipy.sparse.linalg import splu
 
             a_mat = identity(n, format="csc") - csc_matrix(
-                (probs, (rows, cols)), shape=(n, n))
+                (probs[keep], (rows[keep], cols[keep])), shape=(n, n))
             lu = splu(a_mat, permc_spec="MMD_AT_PLUS_A")
             xs = [lu.solve(v) for v in rhs]
             gaps = [gap(x, b) for x, b in zip(xs, rhs)]

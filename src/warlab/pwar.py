@@ -50,6 +50,15 @@ def _pair_table(state, rule, deck):
     return None if rule.reads == "hand" else deck.pair_table(rule)
 
 
+def _bad_p(rule, a_id, b_id, k, p):
+    """The error for a p outside [0, 1], or NaN, that ``rule`` gives card
+    ``a_id`` against card ``b_id`` at hand size ``k``."""
+    return ValueError(
+        f"rule {rule.name!r} gives p = {p!r} to card {a_id} against card "
+        f"{b_id} at hand size {k}, outside [0, 1]"
+    )
+
+
 def _play(state, rule, table, deck, rng, max_rounds, record_trace):
     """The play loop: from ``state``, play until a hand empties or
     ``max_rounds`` rounds are played. Returns the final hands (ascending id
@@ -58,7 +67,8 @@ def _play(state, rule, table, deck, rng, max_rounds, record_trace):
     A ``"hand"`` rule (``table`` None) is evaluated every round on the real
     rest of A's hand; any other rule's p is read from its pair ``table``
     at the current hand size and evaluated only the first time an entry
-    is read."""
+    is read. Either raises on a p outside [0, 1], or NaN, as it is read
+    (the table never stores one)."""
     ha = sorted(state.hand_a)
     hb = sorted(state.hand_b)
     size = deck.size
@@ -81,10 +91,14 @@ def _play(state, rule, table, deck, rng, max_rounds, record_trace):
         if by_size is None:
             p = ev(cards[a_id], cards[b_id],
                    frozenset(x for x in ha if x != a_id), deck)
+            if not 0.0 <= p <= 1.0:
+                raise _bad_p(rule, a_id, b_id, k, p)
         else:
             p = by_size[k][a_id * size + b_id]
             if p != p:
                 p = fill(a_id, b_id, k)
+                if not 0.0 <= p <= 1.0:
+                    raise _bad_p(rule, a_id, b_id, k, p)
         if rand() <= p:
             hb.pop(ib)
             insort(ha, b_id)
@@ -157,10 +171,13 @@ def pwar_run(
     Returns winner ``"Truncated"`` if the cap was hit. When
     ``record_trace`` is set, the record's trace is |A_t| for t = 0..tau.
     A rule with one p for every pair plays the walk on |A|, with the same
-    draws and the same record.
+    draws and the same record. A p outside [0, 1], or NaN, raises
+    ``ValueError`` naming the rule, two card ids, the hand size and p.
     """
     table = _pair_table(init, rule, deck)
     if table is not None and table.walk_p is not None:
+        if not 0.0 <= table.walk_p <= 1.0:
+            raise _bad_p(rule, 0, 1, len(init.hand_a), table.walk_p)
         if __debug__:
             assert len(init.hand_a) + len(init.hand_b) == deck.size, (
                 "card count not conserved"

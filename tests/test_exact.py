@@ -1,10 +1,12 @@
 """Tests for enumeration, the absorption solver, oracles and identities."""
 
+import dataclasses
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -91,6 +93,12 @@ class TestEnumeratePwar:
         with pytest.raises(ValueError):
             enumerate_pwar(build_deck((15, 1)), rule_coin())
 
+    def test_state_indices_must_fit_int32(self):
+        assert exact._index_dtype(2**31) is np.int32
+        with pytest.raises(ValueError, match=r"^2147483649 states exceed "
+                           r"the int32 state indices"):
+            exact._index_dtype(2**31 + 1)
+
     def test_rejects_probabilities_outside_unit_interval(self):
         """A rule returning 1.5 and -0.5 keeps every row summing to 1 but
         gives negative masses: enumeration names the state and value."""
@@ -173,6 +181,7 @@ def _assert_matches_reference(deck, rule):
     every k, against the per-state loop."""
     space = enumerate_pwar(deck, rule)
     rows, cols, probs = _reference_triplets(deck, rule)
+    assert space.trans_rows.dtype == space.trans_cols.dtype == np.int32
     assert np.array_equal(space.trans_rows, rows)
     assert np.array_equal(space.trans_cols, cols)
     assert np.array_equal(space.trans_probs, probs)
@@ -344,6 +353,7 @@ class TestEnumerateFwar:
         space = enumerate_fwar(n, f)
         states, rows, cols, probs, absorbing, win = _reference_fwar(n, f)
         assert space.states.dtype == np.int64
+        assert space.trans_rows.dtype == space.trans_cols.dtype == np.int32
         assert np.array_equal(space.states,
                               np.array([a + b for a, b in states]))
         assert np.array_equal(space.trans_rows, rows)
@@ -605,6 +615,7 @@ class TestSolverPaths:
     @pytest.mark.parametrize("chain", sorted(_AGREEMENT_CHAINS))
     def test_gmres_agrees_with_splu(self, chain, monkeypatch):
         space = _AGREEMENT_CHAINS[chain]()
+        assert space.trans_rows.dtype == space.trans_cols.dtype == np.int32
         fast = absorption_solve(space)
         ref = _solve_patched(space, monkeypatch)
         assert (fast.method, ref.method) == ("gmres", "splu")
@@ -737,6 +748,17 @@ def _row_sums(rows, cols, probs, n_rows, v):
     return np.array(sums)
 
 
+def _interleaved(rows, data):
+    """An order of the triplets that interleaves the rows at random while
+    each row keeps its triplets in their given order."""
+    keys = np.array(data.draw(st.permutations(range(rows.size))),
+                    dtype=np.int64)
+    for r in np.unique(rows):
+        at = rows == r
+        keys[at] = np.sort(keys[at])
+    return np.argsort(keys)
+
+
 class TestBlock:
     @settings(max_examples=300, deadline=None)
     @given(_triplet_blocks())
@@ -774,12 +796,170 @@ class TestBlock:
                                  initial=0.0)
         assert pairwise.tobytes() != ref.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(n_rows=st.integers(2, 6), n_cols=st.integers(1, 6),
+           width=st.integers(1, 12), data=st.data())
+    def test_fast_and_scatter_paths_agree(self, n_rows, n_cols, width, data):
+        """Ascending rows of one length fill by their (rows, width) views;
+        the same triplets with the rows interleaved take the sort and
+        scatter. Both fill the same arrays, and their products are equal
+        byte for byte."""
+        filled = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=2,
+                                    max_size=n_rows, unique=True))
+        rows = np.repeat(np.sort(np.array(filled)), width)
+        cols = np.array(data.draw(st.lists(
+            st.integers(0, n_cols - 1), min_size=rows.size,
+            max_size=rows.size)))
+        probs = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=rows.size, max_size=rows.size)))
+        v = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6), min_size=n_cols, max_size=n_cols)))
+        order = _interleaved(rows, data)
+        assume((rows[order][1:] < rows[order][:-1]).any())
+        shape = (n_rows, n_cols)
+        fast = exact._Block(rows, cols, probs, shape)
+        scatter = exact._Block(rows[order], cols[order], probs[order], shape)
+        assert np.array_equal(fast.cols, scatter.cols)
+        assert fast.probs.tobytes() == scatter.probs.tobytes()
+        assert (fast @ v).tobytes() == (scatter @ v).tobytes()
+
     @pytest.mark.parametrize("rows, cols", [
         ([0, 1], [0, 3]), ([0, 1], [-1, 0]), ([0, 2], [0, 1]),
     ])
     def test_index_outside_the_block_raises(self, rows, cols):
         with pytest.raises(ValueError, match="outside"):
             exact._Block(np.array(rows), np.array(cols), np.ones(2), (2, 3))
+
+
+@st.composite
+def _bipartite_chains(draw):
+    """A small chain on levels 0..top, the level being the hand size,
+    absorbing at both ends. States are numbered in a drawn order. Each
+    live state moves to one to four states one level up or down, at
+    least one of them down with p > 0, so absorption is sure; p are
+    drawn weights over their sum, and a target may repeat."""
+    top = draw(st.integers(2, 6))
+    levels = [lv for lv in range(top + 1)
+              for _ in range(draw(st.integers(1, 3)))]
+    hand_size = np.array(draw(st.permutations(levels)), dtype=np.int64)
+    at_level = [np.flatnonzero(hand_size == lv).tolist()
+                for lv in range(top + 1)]
+    rows, cols, probs = [], [], []
+    for i, lv in enumerate(hand_size.tolist()):
+        if lv in (0, top):
+            continue
+        down = st.sampled_from(at_level[lv - 1])
+        near = st.sampled_from(at_level[lv - 1] + at_level[lv + 1])
+        targets = [draw(down)] + draw(st.lists(near, max_size=3))
+        weights = [draw(st.floats(0.01, 1.0))] + [
+            draw(st.floats(0.0, 1.0)) for _ in targets[1:]]
+        order = draw(st.permutations(range(len(targets))))
+        total = sum(weights)
+        rows += [i] * len(targets)
+        cols += [targets[t] for t in order]
+        probs += [weights[t] / total for t in order]
+    n = hand_size.size
+    return exact.StateSpace(
+        flavor="pwar_subsets",
+        states=np.arange(n, dtype=np.int64),
+        trans_rows=np.array(rows, dtype=np.int32),
+        trans_cols=np.array(cols, dtype=np.int32),
+        trans_probs=np.array(probs),
+        absorbing=(hand_size == 0) | (hand_size == top),
+        absorbing_win=(hand_size == top).astype(np.float64),
+        n_cards=top,
+        hand_size=hand_size,
+    )
+
+
+def _result_bytes(result):
+    return (result.win_prob_a.tobytes(), result.expected_tau.tobytes(),
+            result.method, result.residual, result.matvecs)
+
+
+class TestInterleavedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(_bipartite_chains(), st.data())
+    def test_solve_is_byte_identical(self, space, data):
+        """Each row's triplets stay in their order, so every row is summed
+        as before, whatever the order of the rows and the index dtype."""
+        order = _interleaved(space.trans_rows, data)
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+        shuffled = dataclasses.replace(
+            space,
+            trans_rows=space.trans_rows[order].astype(dtype),
+            trans_cols=space.trans_cols[order].astype(dtype),
+            trans_probs=space.trans_probs[order],
+        )
+        assert _result_bytes(absorption_solve(shuffled)) \
+            == _result_bytes(absorption_solve(space))
+
+
+def _traced_peak(fn, *args) -> int:
+    """Bytes traced at the peak of ``fn(*args)``, above those allocated
+    when it was called; the result counts, as it is allocated inside."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def _chain_bytes(space) -> int:
+    """What a random-draw chain must hold: an int32 row and column and a
+    float64 p per transition; per state an int64 mask and hand size, an
+    absorbing flag and a float64 boundary value."""
+    return 16 * space.trans_probs.size + 25 * space.n_states
+
+
+def _blocks_and_basis_bytes(space) -> int:
+    """GMRES's working set: the two slot-major blocks, each with an intp
+    column and a float64 p in each of its half's rows times its longest
+    row, and the basis of ``GMRES_RESTART`` + 1 odd-half vectors."""
+    odd = space.hand_size % 2 == 1
+    counts = np.bincount(space.trans_rows, minlength=space.n_states)
+    slot = np.dtype(np.intp).itemsize + 8
+    blocks = sum(int(half.sum()) * int(counts[half].max()) * slot
+                 for half in (odd, ~odd))
+    n_odd = int(odd.sum())
+    return blocks + (min(exact.GMRES_RESTART, n_odd) + 1) * n_odd * 8
+
+
+class TestMemory:
+    """tracemalloc traces numpy's buffers, so these peaks repeat exactly.
+    The 12-card solve peaks at 1.53 times its blocks and basis and the
+    fwar n=6 solve at 1.72 times; enumeration peaks at 1.47 times its
+    chain. A solve that copied the kept triplets again before building
+    each block, with a product buffer per block, peaked at 2.89 and 2.44
+    times, and int64 triplets with a (states, k, d-k) array of p put
+    enumeration at 1.89 times."""
+
+    SOLVE_HEADROOM = 2.0
+    ENUMERATE_HEADROOM = 1.6
+
+    @pytest.mark.parametrize("make", [
+        lambda: enumerate_pwar(build_deck((12, 1)), rule_coin()),
+        lambda: enumerate_fwar(6, strength_builtin("identity")),
+    ], ids=["pwar-12x1-coin", "fwar-6-identity"])
+    def test_solve_within_blocks_and_basis(self, make):
+        space = make()
+        absorption_solve(space)
+        peak = _traced_peak(absorption_solve, space)
+        assert peak <= self.SOLVE_HEADROOM * _blocks_and_basis_bytes(space)
+
+    @pytest.mark.parametrize("rule", ["coin", "greater-tiecoin"])
+    def test_enumeration_within_its_chain(self, rule):
+        deck = build_deck((12, 1))
+        space = enumerate_pwar(deck, rule_by_name(rule))
+        peak = _traced_peak(enumerate_pwar, build_deck((12, 1)),
+                            rule_by_name(rule))
+        assert peak <= self.ENUMERATE_HEADROOM * _chain_bytes(space)
 
 
 def _python(code, **env):

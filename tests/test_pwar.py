@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 from bisect import insort
 
 import numpy as np
@@ -572,3 +573,64 @@ class TestPairTable:
         copy = pickle.loads(pickle.dumps(deck))
         assert copy == deck
         assert "_tables" not in vars(copy)
+
+
+def _invalid(name, reads, p_higher, p_lower):
+    """A rule giving the higher card ``p_higher`` and the lower one
+    ``p_lower``, whatever the hand."""
+    return WinningRule(
+        name=name, reads=reads,
+        eval=lambda a, b, s, deck: p_higher if a.rank > b.rank else p_lower,
+    )
+
+
+class TestInvalidP:
+    """Play rejects a p outside [0, 1], or NaN, where it first reads it,
+    naming the rule, both card ids, the hand size and p. Without the
+    check the overshoot game below ends "B" after 17 rounds, and a NaN p
+    loses A every round."""
+
+    @pytest.mark.parametrize("rule, message", [
+        (_invalid("overshoot", "cards", 1.5, -0.5),
+         "rule 'overshoot' gives p = -0.5 to card 2 against card 3 at "
+         "hand size 3"),
+        (_invalid("nan", "cards", math.nan, math.nan),
+         "rule 'nan' gives p = nan to card 2 against card 3 at hand size 3"),
+        (_invalid("walk", "cards", 1.5, 1.5),
+         "rule 'walk' gives p = 1.5 to card 0 against card 1 at hand size 3"),
+        (_invalid("by-size", "size", 1.5, 0.5),
+         "rule 'by-size' gives p = 1.5 to card 4 against card 1 at hand "
+         "size 4"),
+        (_invalid("by-hand", "hand", 1.5, -0.5),
+         "rule 'by-hand' gives p = -0.5 to card 2 against card 3 at hand "
+         "size 3"),
+    ], ids=["table", "nan", "walk", "size", "hand"])
+    def test_run_raises_at_the_first_read(self, rule, message):
+        deck = build_deck((6, 1))
+        rng = RngStream(1, 0)
+        init = deal_uniform(deck, 3, rng)
+        with pytest.raises(ValueError, match=re.escape(message)
+                           + r", outside \[0, 1\]$"):
+            pwar_run(init, rule, deck, rng)
+
+    def test_step_raises_too(self):
+        deck = build_deck((6, 1))
+        rule = _invalid("overshoot", "cards", 1.5, -0.5)
+        with pytest.raises(ValueError, match="rule 'overshoot' gives p"):
+            for sid in range(20):
+                rng = RngStream(2, sid)
+                pwar_step(deal_uniform(deck, 3, rng), rule, deck, rng)
+
+    def test_table_stores_no_invalid_p(self):
+        """Exact enumeration evaluates every pair first; the table keeps
+        the bad entries unfilled, so play still meets them through a fill
+        and raises, while enumeration reads the raw values."""
+        deck = build_deck((6, 1))
+        rule = _invalid("overshoot", "cards", 1.5, -0.5)
+        table = deck.pair_table(rule)
+        raw = np.array(table.filled(1)).reshape(6, 6)
+        assert raw[5, 0] == 1.5 and raw[0, 5] == -0.5
+        assert math.isnan(table.by_size[1][5 * 6 + 0])
+        rng = RngStream(1, 0)
+        with pytest.raises(ValueError, match="outside"):
+            pwar_run(deal_uniform(deck, 3, rng), rule, deck, rng)
