@@ -41,7 +41,7 @@ from .core import (
     built,
     deal_uniform,
 )
-from .stats import run_trials, tally
+from .stats import clopper_pearson, run_trials, tally
 
 
 #: Tie kinds by the name the CLI's ``--tie`` gives them.
@@ -359,7 +359,7 @@ def aces_win_table(
         taus, wins, draws, truncated = tally(records)
         decided = len(taus)
         p = wins / decided if decided else float("nan")
-        lo, hi = _clopper_pearson(wins, decided)
+        lo, hi = clopper_pearson(wins, decided)
         rows.append(
             {
                 "k": k,
@@ -374,20 +374,3 @@ def aces_win_table(
             }
         )
     return rows
-
-
-def _clopper_pearson(
-    wins: int, n: int, alpha: float = 0.05
-) -> tuple[float, float]:
-    """Exact binomial confidence interval."""
-    from scipy.stats import beta
-
-    if n == 0:
-        return 0.0, 1.0
-    lo = 0.0 if wins == 0 else float(beta.ppf(alpha / 2, wins, n - wins + 1))
-    hi = (
-        1.0
-        if wins == n
-        else float(beta.ppf(1 - alpha / 2, wins + 1, n - wins))
-    )
-    return lo, hi

@@ -9,9 +9,9 @@ how trials are distributed over workers.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import math
-import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -390,24 +390,29 @@ class StrengthFunction:
 class RngStream:
     """Deterministic per-trial random stream.
 
-    The contract: an MT19937 generator (the stdlib ``random.Random``)
-    seeded with the SHA-256 digest of ``"{seed}:{stream_id}"``, so the
-    draw sequence is a pure function of ``(seed, stream_id)`` and distinct
-    stream ids give statistically independent streams. Its ``random()``
-    (53-bit floats from two 32-bit words) and ``getrandbits(k)`` (one word
-    per call for ``k <= 32``) are the only generator calls; :meth:`shuffle`
-    and :meth:`sample` are warlab's own, written over ``getrandbits``, so no
-    draw depends on the private helpers of ``Lib/random.py``. They consume
-    the same words as CPython 3.11's ``Random.shuffle``/``Random.sample``
-    and give the same results. ``random`` and ``getrandbits`` are bound
-    methods stored as attributes, so hot loops pay no delegation cost.
+    The contract: an MT19937 generator seeded with the SHA-256 digest of
+    ``"{seed}:{stream_id}"``, read as a big-endian integer, so the draw
+    sequence is a pure function of ``(seed, stream_id)`` and distinct
+    stream ids give statistically independent streams. The generator is
+    ``_random.Random``, the C base class of the stdlib ``random.Random``,
+    seeded directly: ``random.Random(x)`` reaches the same C seeding
+    through its Python ``__init__`` and ``seed`` wrappers, so both build
+    the same state and draw the same words. Its ``random()`` (53-bit
+    floats from two 32-bit words) and ``getrandbits(k)`` (one word per
+    call for ``k <= 32``) are the only generator calls; :meth:`shuffle`
+    and :meth:`sample` are warlab's own, written over ``getrandbits``, so
+    no draw depends on the private helpers of ``Lib/random.py``. They
+    consume the same words as CPython 3.11's
+    ``Random.shuffle``/``Random.sample`` and give the same results.
+    ``random`` and ``getrandbits`` are bound methods stored as
+    attributes, so hot loops pay no delegation cost.
     """
 
     __slots__ = ("stream_id", "random", "getrandbits")
 
     def __init__(self, seed: int, stream_id: int = 0):
         material = hashlib.sha256(f"{seed}:{stream_id}".encode()).digest()
-        rng = random.Random(int.from_bytes(material, "big"))
+        rng = _random.Random(int.from_bytes(material, "big"))
         self.stream_id = stream_id
         self.random = rng.random
         self.getrandbits = rng.getrandbits
@@ -462,6 +467,35 @@ class RngStream:
         return result
 
 
+def first_hand_size(deck: Deck, size_a: Optional[int]) -> int:
+    """The first hand's size of a uniform deal: ``size_a``, or
+    ``deck.half`` when it is None. Raises ``ValueError`` outside
+    ``[0, deck.size]``."""
+    if size_a is None:
+        return deck.half
+    if not 0 <= size_a <= deck.size:
+        raise ValueError(
+            f"size_a must lie in [0, {deck.size}], got {size_a}"
+        )
+    return size_a
+
+
+def _deal_uniform(d: int, size_a: int, rng: RngStream,
+                  ordered: bool) -> tuple[list, list]:
+    """The uniform deal of ``size_a`` of the ids ``0..d-1`` to the first
+    hand, as two lists: both ascending, or with ``ordered`` the first in
+    draw order and the second shuffled."""
+    picked = rng.sample(range(d), size_a)
+    a = sorted(picked)
+    b = list(range(d))
+    for i in reversed(a):
+        del b[i]
+    if ordered:
+        rng.shuffle(b)
+        return picked, b
+    return a, b
+
+
 def deal_uniform(
     deck: Deck, size_a: Optional[int], rng: RngStream, ordered: bool = False
 ) -> GameState:
@@ -472,22 +506,11 @@ def deal_uniform(
     ``ordered=True`` both hands are additionally uniform random
     permutations of their sets (the shuffle-and-split distribution).
     """
-    if size_a is None:
-        size_a = deck.half
-    if not 0 <= size_a <= deck.size:
-        raise ValueError(
-            f"size_a must lie in [0, {deck.size}], got {size_a}"
-        )
-    ids = range(deck.size)
-    picked = rng.sample(ids, size_a)
-    in_a = set(picked)
-    rest = [i for i in ids if i not in in_a]
+    a, b = _deal_uniform(deck.size, first_hand_size(deck, size_a), rng,
+                         ordered)
     if ordered:
-        rng.shuffle(rest)
-        return GameState(hand_a=tuple(picked), hand_b=tuple(rest), round=0)
-    return GameState(
-        hand_a=frozenset(picked), hand_b=frozenset(rest), round=0
-    )
+        return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
+    return GameState(hand_a=frozenset(a), hand_b=frozenset(b), round=0)
 
 
 @lru_cache(maxsize=128)

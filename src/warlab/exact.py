@@ -344,39 +344,51 @@ def enumerate_fwar(n: int, strength: StrengthFunction) -> StateSpace:
     ])
     order = np.argsort(codes)
     codes = codes[order]
-    hand_size = np.repeat(np.arange(n + 1, dtype=np.int64), len(digits))[order]
-    states = np.tile(digits - 1, (n + 1, 1))[order]
+    # Code i of the concatenation is permutation i % len(digits) cut
+    # after its first i // len(digits) cards.
+    hand_size = order // len(digits)
+    states = (digits - 1)[order % len(digits)]
+    del order, digits
 
+    # Each per-state temporary below is deleted once read, so that no
+    # more than a few of them are alive at once.
     absorbing = (hand_size == 0) | (hand_size == n)
     transient = np.flatnonzero(~absorbing)
     k = hand_size[transient]
-    m = n - k
     da = states[transient, 0] + 1
     db = states[transient, k] + 1
-    a_code, b_code = np.divmod(codes[transient], shift)
-    a_tail = (a_code - da * weight[0]) * base
-    b_tail = (b_code - db * weight[0]) * base
-    win_ab = a_tail + da * weight[k - 1] + db * weight[k]
-    win_ba = a_tail + db * weight[k - 1] + da * weight[k]
-    lose_ba = b_tail + db * weight[m - 1] + da * weight[m]
-    lose_ab = b_tail + da * weight[m - 1] + db * weight[m]
-    successors = np.stack((
-        win_ab * shift + b_tail,
-        win_ba * shift + b_tail,
-        a_tail * shift + lose_ba,
-        a_tail * shift + lose_ab,
-    ), axis=1)
     fa = fs[da - 1]
     fb = fs[db - 1]
     p = fa / (fa + fb)
+    del fa, fb
     probs = np.stack((p * 0.5, p * 0.5, (1 - p) * 0.5, (1 - p) * 0.5),
                      axis=1)
+    del p
+    a_code, b_code = np.divmod(codes[transient], shift)
+    a_tail = (a_code - da * weight[0]) * base
+    del a_code
+    b_tail = (b_code - db * weight[0]) * base
+    del b_code
+    m = n - k
+    successors = np.empty((len(transient), 4), dtype=np.int64)
+    successors[:, 0] = (a_tail + da * weight[k - 1]
+                        + db * weight[k]) * shift + b_tail
+    successors[:, 1] = (a_tail + db * weight[k - 1]
+                        + da * weight[k]) * shift + b_tail
+    del k
+    successors[:, 2] = a_tail * shift + (b_tail + db * weight[m - 1]
+                                         + da * weight[m])
+    successors[:, 3] = a_tail * shift + (b_tail + da * weight[m - 1]
+                                         + db * weight[m])
+    del m, da, db, a_tail, b_tail
     index = _index_dtype(len(codes))
+    trans_cols = np.searchsorted(codes, successors.ravel()).astype(index)
+    del successors, codes
     space = StateSpace(
         flavor="fwar_ordered",
         states=states,
         trans_rows=np.repeat(transient.astype(index), 4),
-        trans_cols=np.searchsorted(codes, successors.ravel()).astype(index),
+        trans_cols=trans_cols,
         trans_probs=probs.ravel(),
         absorbing=absorbing,
         absorbing_win=(hand_size == n).astype(np.float64),

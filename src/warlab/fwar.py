@@ -15,7 +15,7 @@ quadratic absorption-time scaling that the exact module verifies.
 Each round consumes the outcome draw first, then (in random return order)
 exactly one order draw. :func:`fwar_run` and :func:`fwar_step` share one
 play loop, the step capped at one round, so a run is draw-for-draw the
-iteration of steps.
+iteration of steps. :meth:`FwarConfig.run_chunk` calls the same loop.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ from .core import (
     RngStream,
     StrengthFunction,
     TrialRecord,
+    _deal_uniform,
     build_deck,
     built,
     deal_uniform,
+    first_hand_size,
 )
 
 #: How the winner returns the pair to the bottom of their hand.
@@ -60,53 +62,53 @@ class FwarTrace(TrialRecord):
     q_trajectory: Optional[tuple] = None
 
 
-def _play(state, strength, deck, rng, max_rounds, return_order,
-          record_trace):
-    """The play loop: from ``state``, play until a hand empties or
-    ``max_rounds`` rounds are played. Returns the final hands (deques,
-    front = next played) and the game's record."""
-    if not state.ordered:
-        raise ValueError("top-card war uses ordered (tuple) hands")
+def _check_return_order(return_order: str) -> None:
     if return_order not in RETURN_ORDERS:
         raise ValueError(f"return_order must be one of {RETURN_ORDERS}")
-    n = deck.size
-    f_of = deck.strength_table(strength)
-    a = deque(state.hand_a)
-    b = deque(state.hand_b)
-    m = math.fsum(f_of[i] for i in a)
+
+
+def _hands(state: GameState, return_order: str) -> tuple[deque, deque]:
+    """The hands of ``state`` as the play loop's deques, once ``state`` is
+    checked to hold ordered hands and ``return_order`` to be known."""
+    if not state.ordered:
+        raise ValueError("top-card war uses ordered (tuple) hands")
+    _check_return_order(return_order)
+    return deque(state.hand_a), deque(state.hand_b)
+
+
+def _play(a, b, f_of, rng, max_rounds, return_order, record_trace):
+    """The play loop: from the hands ``a`` and ``b`` (deques, front = next
+    played, changed in place), play until a hand empties or
+    ``max_rounds`` rounds are played. ``f_of`` is the strength of each
+    card id. Returns the final hands and the game's record."""
+    n = len(f_of)
+    m = math.fsum(map(f_of.__getitem__, a))
     q = 0.0
     m_traj = [m] if record_trace else None
     q_traj = [0.0] if record_trace else None
     rand = rng.random
     random_return = return_order == "random"
     own_first = return_order == "own_first"
+    take_a, take_b = a.popleft, b.popleft
+    put_a, put_b = a.append, b.append
     rounds = 0
     while a and b and rounds < max_rounds:
-        a_id = a[0]
-        b_id = b[0]
+        a_id = take_a()
+        b_id = take_b()
         fa = f_of[a_id]
         fb = f_of[b_id]
-        a_wins = rand() <= fa / (fa + fb)
-        if random_return:
-            first_own = rand() <= 0.5
-        else:
-            first_own = own_first
-        a.popleft()
-        b.popleft()
-        if a_wins:
-            own, captured = a_id, b_id
-            hand = a
+        if rand() <= fa / (fa + fb):
+            own, captured, put = a_id, b_id, put_a
             m += fb
         else:
-            own, captured = b_id, a_id
-            hand = b
+            own, captured, put = b_id, a_id, put_b
             m -= fa
-        if first_own:
-            hand.append(own)
-            hand.append(captured)
+        if (rand() <= 0.5) if random_return else own_first:
+            put(own)
+            put(captured)
         else:
-            hand.append(captured)
-            hand.append(own)
+            put(captured)
+            put(own)
         q += fa * fb
         rounds += 1
         if m_traj is not None:
@@ -121,7 +123,7 @@ def _play(state, strength, deck, rng, max_rounds, return_order,
         # Each round's rounding error in m is of the order of eps times
         # the largest strength, so the deck's total strength scales the
         # tolerance, not M_tau (0 whenever A loses).
-        exact_m = math.fsum(f_of[i] for i in a)
+        exact_m = math.fsum(map(f_of.__getitem__, a))
         assert abs(m - exact_m) <= 1e-9 * math.fsum(f_of), (
             f"tracked strength {m} drifted from recomputed {exact_m}"
         )
@@ -155,7 +157,9 @@ def fwar_step(
     """
     if state.is_absorbing:
         raise ValueError("cannot step an absorbing state")
-    a, b, record = _play(state, strength, deck, rng, 1, return_order, False)
+    a, b = _hands(state, return_order)
+    a, b, record = _play(a, b, deck.strength_table(strength), rng, 1,
+                         return_order, False)
     return (
         GameState(tuple(a), tuple(b), state.round + 1),
         record.q_final,
@@ -172,8 +176,9 @@ def fwar_run(
     return_order: str = "random",
 ) -> FwarTrace:
     """Play from ``init`` to absorption or the round cap."""
-    return _play(init, strength, deck, rng, max_rounds, return_order,
-                 record_trace)[2]
+    a, b = _hands(init, return_order)
+    return _play(a, b, deck.strength_table(strength), rng, max_rounds,
+                 return_order, record_trace)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +186,38 @@ def fwar_run(
 # ---------------------------------------------------------------------------
 
 
-def _coin_deal(a: list, ids, rng: RngStream) -> GameState:
+def _coin_deal(a: deque, ids, rng: RngStream) -> tuple[deque, deque]:
     """Each card of ``ids`` joins the first hand ``a`` on a fair coin,
     else the second; both hands are then uniformly permuted."""
-    b = []
+    b = deque()
+    rand = rng.random
     for i in ids:
-        (a if rng.random() <= 0.5 else b).append(i)
+        (a if rand() <= 0.5 else b).append(i)
     rng.shuffle(a)
     rng.shuffle(b)
-    return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
+    return a, b
 
 
 def deal_iid(n: int, rng: RngStream) -> GameState:
     """Every card goes to the first player with an independent fair coin;
     both hands are then uniformly permuted. Either hand may be empty, in
     which case the game is absorbed at round 0."""
-    return _coin_deal([], range(n), rng)
+    a, b = _coin_deal(deque(), range(n), rng)
+    return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
 
 
 def deal_strongest(n: int, rng: RngStream) -> GameState:
     """The strongest card (rank n) goes to the first player, every other
     card by an independent fair coin; both hands uniformly permuted."""
-    return _coin_deal([n - 1], range(n - 1), rng)
+    a, b = _coin_deal(deque([n - 1]), range(n - 1), rng)
+    return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
 
 
 DEALS = ("uniform", "iid", "strongest")
+
+
+def _unknown_deal(deal: str) -> ValueError:
+    return ValueError(f"unknown deal {deal!r}; valid: {DEALS}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +288,45 @@ class FwarConfig:
         if self.deal == "uniform":
             return deal_uniform(built(self)[0], self.size_a, rng,
                                 ordered=True)
-        raise ValueError(f"unknown deal {self.deal!r}; valid: {DEALS}")
+        raise _unknown_deal(self.deal)
+
+    def _dealer(self):
+        """The deal as a function of a trial's stream that returns both
+        hands as the play loop's deques, its size checked once. Raises
+        ``ValueError`` for an unknown deal, as :meth:`deal_state` does."""
+        n = self.n
+        if self.deal == "iid":
+            return lambda rng: _coin_deal(deque(), range(n), rng)
+        if self.deal == "strongest":
+            return lambda rng: _coin_deal(deque([n - 1]), range(n - 1), rng)
+        if self.deal == "uniform":
+            size_a = first_hand_size(built(self)[0], self.size_a)
+
+            def deal(rng):
+                a, b = _deal_uniform(n, size_a, rng, True)
+                return deque(a), deque(b)
+
+            return deal
+        raise _unknown_deal(self.deal)
+
+    def run_chunk(self, seed: int, lo: int, hi: int) -> list:
+        """``[run_trial(seed, i) for i in range(lo, hi)]``, with the
+        strength table, deal and return order looked up once: each trial
+        deals straight into the play loop's deques."""
+        deck, strength = built(self)
+        f_of = deck.strength_table(strength)
+        deal = self._dealer()
+        return_order = self.return_order
+        _check_return_order(return_order)
+        max_rounds = self.max_rounds
+        record_trace = self.record_trace
+        records = []
+        for stream_id in range(lo, hi):
+            rng = RngStream(seed, stream_id)
+            a, b = deal(rng)
+            records.append(_play(a, b, f_of, rng, max_rounds, return_order,
+                                 record_trace)[2])
+        return records
 
     def run_trial(self, seed: int, stream_id: int) -> FwarTrace:
         deck, strength = built(self)

@@ -10,6 +10,7 @@ consumes exactly three uniform draws in fixed order (index into A's hand,
 index into B's hand, outcome), with index = floor(U * hand_size).
 :func:`pwar_run` and :func:`pwar_step` share one play loop, the step
 capped at one round, so a run is draw-for-draw the iteration of steps.
+:meth:`PwarConfig.run_chunk` calls the same loop, or the walk below.
 
 When a ``"cards"`` rule gives every pair of cards the same p (``coin``,
 Bradley-Terry with ``constant`` strength), hand size is a walk that
@@ -37,9 +38,11 @@ from .core import (
     RngStream,
     TrialRecord,
     WinningRule,
+    _deal_uniform,
     build_deck,
     built,
     deal_uniform,
+    first_hand_size,
 )
 
 def _pair_table(state, rule, deck):
@@ -59,18 +62,26 @@ def _bad_p(rule, a_id, b_id, k, p):
     )
 
 
-def _play(state, rule, table, deck, rng, max_rounds, record_trace):
-    """The play loop: from ``state``, play until a hand empties or
-    ``max_rounds`` rounds are played. Returns the final hands (ascending id
-    lists) and the game's record.
+def _walk_p(table, rule, k):
+    """The one p that ``table`` gives every pair of cards, None when it
+    has none (or is None); raises when that p lies outside [0, 1], naming
+    A's hand size ``k``."""
+    p = None if table is None else table.walk_p
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise _bad_p(rule, 0, 1, k, p)
+    return p
+
+
+def _play(ha, hb, rule, table, deck, rng, max_rounds, record_trace):
+    """The play loop: from the hands ``ha`` and ``hb`` (ascending id
+    lists, changed in place), play until a hand empties or ``max_rounds``
+    rounds are played. Returns the final hands and the game's record.
 
     A ``"hand"`` rule (``table`` None) is evaluated every round on the real
     rest of A's hand; any other rule's p is read from its pair ``table``
     at the current hand size and evaluated only the first time an entry
     is read. Either raises on a p outside [0, 1], or NaN, as it is read
     (the table never stores one)."""
-    ha = sorted(state.hand_a)
-    hb = sorted(state.hand_b)
     size = deck.size
     cards = deck.cards
     ev = rule.eval
@@ -154,7 +165,8 @@ def pwar_step(
     if state.is_absorbing:
         raise ValueError("cannot step an absorbing state")
     table = _pair_table(state, rule, deck)
-    ha, hb, _ = _play(state, rule, table, deck, rng, 1, False)
+    ha, hb, _ = _play(sorted(state.hand_a), sorted(state.hand_b), rule,
+                      table, deck, rng, 1, False)
     return GameState(frozenset(ha), frozenset(hb), state.round + 1)
 
 
@@ -175,16 +187,16 @@ def pwar_run(
     ``ValueError`` naming the rule, two card ids, the hand size and p.
     """
     table = _pair_table(init, rule, deck)
-    if table is not None and table.walk_p is not None:
-        if not 0.0 <= table.walk_p <= 1.0:
-            raise _bad_p(rule, 0, 1, len(init.hand_a), table.walk_p)
+    walk_p = _walk_p(table, rule, len(init.hand_a))
+    if walk_p is not None:
         if __debug__:
             assert len(init.hand_a) + len(init.hand_b) == deck.size, (
                 "card count not conserved"
             )
-        return _walk(len(init.hand_a), deck.size, table.walk_p, rng,
-                     max_rounds, record_trace)
-    return _play(init, rule, table, deck, rng, max_rounds, record_trace)[2]
+        return _walk(len(init.hand_a), deck.size, walk_p, rng, max_rounds,
+                     record_trace)
+    return _play(sorted(init.hand_a), sorted(init.hand_b), rule, table,
+                 deck, rng, max_rounds, record_trace)[2]
 
 
 @dataclass(frozen=True)
@@ -214,6 +226,33 @@ class PwarConfig:
             )
             deck.strength_table(strength)  # a bad strength fails here
         return deck, rules.rule_by_name(self.rule, strength)
+
+    def run_chunk(self, seed: int, lo: int, hi: int) -> list:
+        """``[run_trial(seed, i) for i in range(lo, hi)]``, with the deck,
+        rule, pair table and first-hand size looked up once: each trial
+        deals straight into the play loop's lists, or makes the deal's
+        draws and plays the walk."""
+        deck, rule = built(self)
+        d = deck.size
+        size_a = first_hand_size(deck, self.size_a)
+        table = None if rule.reads == "hand" else deck.pair_table(rule)
+        walk_p = _walk_p(table, rule, size_a)
+        max_rounds = self.max_rounds
+        record_trace = self.record_trace
+        records = []
+        ids = range(d)
+        for stream_id in range(lo, hi):
+            rng = RngStream(seed, stream_id)
+            if walk_p is None:
+                ha, hb = _deal_uniform(d, size_a, rng, False)
+                records.append(_play(ha, hb, rule, table, deck, rng,
+                                     max_rounds, record_trace)[2])
+            else:
+                # The walk reads |A| alone: the deal's draws, no hands.
+                rng.sample(ids, size_a)
+                records.append(_walk(size_a, d, walk_p, rng, max_rounds,
+                                     record_trace))
+        return records
 
     def run_trial(self, seed: int, stream_id: int) -> TrialRecord:
         deck, rule = built(self)

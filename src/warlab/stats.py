@@ -57,6 +57,11 @@ class HistogramData:
 
 
 def _run_chunk(config, seed: int, lo: int, hi: int) -> list:
+    """The records of trials ``lo..hi-1``: one ``config.run_chunk`` call
+    when the config has one, else one ``run_trial`` call per trial."""
+    run_chunk = getattr(config, "run_chunk", None)
+    if run_chunk is not None:
+        return run_chunk(seed, lo, hi)
     return [config.run_trial(seed, i) for i in range(lo, hi)]
 
 
@@ -99,7 +104,12 @@ def run_trials(
 
     ``config`` is any object exposing ``run_trial(seed, stream_id)``.
     Trial i uses stream id ``stream_base + i``; the output is ordered by
-    trial index and is byte-identical across worker counts.
+    trial index and is byte-identical across worker counts. A config may
+    also expose ``run_chunk(seed, lo, hi)``, which must return
+    ``[run_trial(seed, i) for i in range(lo, hi)]`` and raise as that
+    list would; each share then runs as one such call, so its set-up is
+    paid once per share instead of once per trial. ``PwarConfig`` and
+    ``FwarConfig`` have one.
 
     ``workers`` counts this process. With more than one, the trials are
     cut into contiguous shares; a forked child runs each share after the
@@ -254,6 +264,119 @@ def histogram(samples: Sequence[float], bin_count: int) -> HistogramData:
 
 
 # ---------------------------------------------------------------------------
+# Distribution tails (math only)
+# ---------------------------------------------------------------------------
+
+#: Iteration cap of the incomplete-beta continued fraction; it converges
+#: in O(sqrt(max(a, b))) steps.
+_BETACF_MAX_ITER = 100_000
+#: Smallest divisor the modified Lentz method lets through.
+_TINY = 1e-300
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """The continued fraction of the regularized incomplete beta
+    function, by the modified Lentz method."""
+    eps = 2.0 ** -53
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, _BETACF_MAX_ITER + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                   -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= eps:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _beta_cdf(x: float, a: int, b: int, log_norm: float) -> float:
+    """I_x(a, b), the Beta(a, b) distribution function at ``x``, given
+    ``log_norm`` = log(1 / B(a, b))."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(log_norm + a * math.log(x) + b * math.log1p(-x))
+    # The fraction converges fast below the mean; above it, use
+    # I_x(a, b) = 1 - I_{1-x}(b, a).
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def _beta_ppf(q: float, a: int, b: int) -> float:
+    """The ``q`` quantile of Beta(a, b) for positive integers a and b, by
+    bisection of :func:`_beta_cdf` down to adjacent floats."""
+    # log(1 / B(a, b)) = log((l)(l+1)..(l+s-1)) - log((s-1)!) for
+    # s = min(a, b) and l = max(a, b): no difference of two large
+    # log-gammas, which would leave an error of eps * a * log(a).
+    short, long_ = sorted((a, b))
+    log_norm = (math.fsum(math.log(long_ + i) for i in range(short))
+                - math.lgamma(short))
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if _beta_cdf(mid, a, b, log_norm) < q:
+            lo = mid
+        else:
+            hi = mid
+
+
+def clopper_pearson(wins: int, n: int,
+                    alpha: float = 0.05) -> tuple[float, float]:
+    """The exact (Clopper-Pearson) two-sided ``1 - alpha`` interval for a
+    binomial proportion after ``wins`` successes in ``n`` trials: the
+    ``alpha/2`` quantile of Beta(wins, n - wins + 1) and the
+    ``1 - alpha/2`` quantile of Beta(wins + 1, n - wins), with 0 and 1 at
+    the edges and ``(0, 1)`` when ``n`` is 0."""
+    if not 0 <= wins <= n:
+        raise ValueError(f"need 0 <= wins <= n, got wins={wins}, n={n}")
+    if n == 0:
+        return 0.0, 1.0
+    lo = 0.0 if wins == 0 else _beta_ppf(alpha / 2, wins, n - wins + 1)
+    hi = 1.0 if wins == n else _beta_ppf(1 - alpha / 2, wins + 1, n - wins)
+    return lo, hi
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with a positive integer ``df``: with
+    h = x/2, e^-h times the first df/2 terms of the series of e^h for
+    even ``df``, and erfc(sqrt(h)) plus the half-integer terms for odd
+    ``df``. The terms are summed from their logarithms, so a tail below
+    e^-745 still comes out when it is representable."""
+    if df < 1 or df != int(df):
+        raise ValueError(f"df must be a positive integer, got {df}")
+    if x <= 0.0:
+        return 1.0
+    h = x / 2.0
+    log_h = math.log(h)
+    if df % 2:
+        total = math.erfc(math.sqrt(h))
+        # h^(1/2) e^-h / Gamma(3/2), then the ratio h / (j + 1/2).
+        log_term = math.log(2.0) - h + 0.5 * (log_h - math.log(math.pi))
+        start = 1.5
+    else:
+        total = 0.0
+        log_term = -h
+        start = 1.0
+    for j in range(df // 2):
+        total += math.exp(log_term)
+        log_term += log_h - math.log(start + j)
+    return min(total, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # Fairness test
 # ---------------------------------------------------------------------------
 
@@ -273,8 +396,6 @@ def fairness_test(
     that are fair only on average. Groups below ``MIN_GROUP`` increments
     are an error. Returns (chi_sq, p_value).
     """
-    from scipy.stats import chi2
-
     n = len(increments)
     if n < MIN_GROUP:
         raise ValueError(
@@ -304,9 +425,7 @@ def fairness_test(
         chi_sq += (ups - expected) ** 2 / expected + (
             (m - ups) - expected
         ) ** 2 / expected
-    df = len(groups)
-    p_value = float(chi2.sf(chi_sq, df))
-    return chi_sq, p_value
+    return chi_sq, chi2_sf(chi_sq, len(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ class TestAcesTable:
             (3, 60, 59, 47, 1, 0, 0.7966101694915254),
             (4, 60, 60, 59, 0, 0, 0.9833333333333333),
         ]
-        # The interval bounds come from scipy, so allow its rounding.
+        # The interval bounds come from a bisection, so allow rounding.
         bounds = [b for r in rows for b in (r["ci_lo"], r["ci_hi"])]
         assert bounds == pytest.approx([
             0.0, 0.05962949228616691,

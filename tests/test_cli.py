@@ -804,6 +804,19 @@ class TestLazyImports:
             + self.heavy + "\n"
         ) == ["False"] * 6
 
+    def test_statistics_leave_scipy_unloaded(self):
+        """The aces table's Clopper-Pearson intervals and the fairness
+        test's chi-square tail come from ``math``."""
+        assert self._loaded(
+            "from warlab.classic import TiePolicy, aces_win_table\n"
+            "from warlab.core import build_deck\n"
+            "from warlab.stats import fairness_test\n"
+            "aces_win_table(build_deck((3, 4)), TiePolicy(),\n"
+            "               trials_per_cell=10, seed=1)\n"
+            "fairness_test([1, -1] * 120, [0] * 120 + [1] * 120)\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        ) == ["False"]
+
     def test_run_metadata_names_numpy_without_loading_it(self):
         assert self._loaded(
             "from warlab.stats import run_metadata\n"

@@ -93,6 +93,19 @@ class TestRngStream:
     def test_distinct_seeds_differ(self):
         assert RngStream(1, 0).random() != RngStream(2, 0).random()
 
+    def test_words_equal_the_stdlib_generator(self):
+        """The directly seeded C generator draws what ``random.Random``
+        seeded with the digest draws: 240 streams, negative seeds and
+        stream ids among them, through ``random()`` and every
+        ``getrandbits`` width up to 32."""
+        for seed in (-(2**70), -3, 0, 5, 2**64 + 1, 10**30):
+            for sid in range(-10, 30):
+                ours, ref = RngStream(seed, sid), _cpython_stream(seed, sid)
+                for k in range(1, 33):
+                    assert ours.random() == ref.random(), (seed, sid)
+                    assert ours.getrandbits(k) == ref.getrandbits(k), (
+                        seed, sid, k)
+
     def test_algorithm_named(self):
         assert "mt19937" in RNG_ALGORITHM
 

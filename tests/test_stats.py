@@ -4,8 +4,10 @@ import json
 import math
 import os
 import pickle
+import re
 from collections import Counter
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -13,14 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warlab import rules
-from warlab.core import TrialRecord, built
+from warlab.core import (
+    DEFAULT_MAX_ROUNDS,
+    TrialRecord,
+    WinningRule,
+    build_deck,
+    built,
+)
 from warlab.exact import srw_oracle
-from warlab.fwar import FwarConfig
+from warlab.fwar import DEALS, RETURN_ORDERS, FwarConfig
 from warlab.pwar import PwarConfig
 from warlab.stats import (
     HistogramData,
     _shares,
     SampleStats,
+    chi2_sf,
+    clopper_pearson,
     fairness_test,
     histogram,
     run_metadata,
@@ -291,6 +301,215 @@ class TestFanOut:
         serial = run_trials(cfg, 100, seed=4)
         assert len(pickle.dumps(serial[50:])) > 64 * 1024
         assert run_trials(cfg, 100, seed=4, workers=2) == serial
+
+
+def _per_trial(cfg, n_trials, seed, stream_base=0):
+    """The reference for a batch: one ``run_trial`` call per trial."""
+    return [cfg.run_trial(seed, stream_base + i) for i in range(n_trials)]
+
+
+def _outcome(fn):
+    """The ``repr`` of ``fn()``'s records, exact for floats, or the type
+    and message of the ``ValueError`` it raised."""
+    try:
+        return repr(fn())
+    except ValueError as err:
+        return type(err), str(err)
+
+
+#: (rule, strength) pairs: with ``constant`` strength Bradley-Terry plays
+#: the walk, with ``identity`` the play loop.
+_PWAR_RULES = (("coin", None), ("greater-tiecoin", None), ("powered", None),
+               ("max-holder", None), ("bradley-terry", "constant"),
+               ("bradley-terry", "identity"))
+
+
+@st.composite
+def _configs(draw):
+    """A random-draw or top-card config over every path a batch takes."""
+    max_rounds = draw(st.sampled_from([DEFAULT_MAX_ROUNDS, 0, 1, 3]))
+    record_trace = draw(st.booleans())
+    if draw(st.booleans()):
+        rule, strength = draw(st.sampled_from(_PWAR_RULES))
+        # max-holder needs distinct ranks.
+        copies = 1 if rule == "max-holder" else draw(st.integers(1, 2))
+        d = draw(st.integers(1, 8 // copies)) * copies
+        size_a = draw(st.sampled_from([None, 0, d, max(1, d // 3)]))
+        return PwarConfig(deck=(d // copies, copies), rule=rule,
+                          size_a=size_a, strength=strength,
+                          max_rounds=max_rounds, record_trace=record_trace)
+    n = draw(st.integers(1, 7))
+    return FwarConfig(
+        n=n, strength=draw(st.sampled_from(["identity", "shifted"])),
+        deal=draw(st.sampled_from(DEALS)),
+        size_a=draw(st.sampled_from([None, 0, n, max(1, n // 3)])),
+        return_order=draw(st.sampled_from(RETURN_ORDERS)),
+        max_rounds=max_rounds, record_trace=record_trace)
+
+
+class TestBatchMatchesPerTrial:
+    """``PwarConfig`` and ``FwarConfig`` run each share as one
+    ``run_chunk`` call; its records must equal the per-trial reference's
+    field for field."""
+
+    @given(cfg=_configs(), n_trials=st.integers(1, 12),
+           seed=st.integers(-2**40, 2**40),
+           stream_base=st.integers(-100, 10**6),
+           workers=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_records_identical(self, cfg, n_trials, seed, stream_base,
+                               workers):
+        want = _outcome(lambda: _per_trial(cfg, n_trials, seed, stream_base))
+        got = _outcome(lambda: run_trials(cfg, n_trials, seed, workers,
+                                          stream_base))
+        assert got == want
+        assert isinstance(got, str), got
+
+    @pytest.mark.parametrize("cfg", [
+        PwarConfig(deck=(8, 1), rule="coin", size_a=4),
+        FwarConfig(n=8, strength="shifted", deal="iid"),
+    ], ids=["pwar", "fwar"])
+    def test_run_trials_takes_the_batch(self, cfg, monkeypatch):
+        want = _per_trial(cfg, 30, 5)
+
+        def no_trial(self, seed, stream_id):
+            raise AssertionError("run_trial called")
+
+        monkeypatch.setattr(type(cfg), "run_trial", no_trial)
+        assert run_trials(cfg, 30, 5) == want
+
+
+def _const_walk(a, b, s, deck):
+    return 1.5
+
+
+def _overshoot(a, b, s, deck):
+    return 1.5 if a.rank > b.rank else -0.5
+
+
+@dataclass(frozen=True)
+class _RuleConfig(PwarConfig):
+    """A random-draw recipe with a custom rule in place of a named one."""
+
+    make_rule: Callable = None
+
+    def build(self):
+        return build_deck(self.deck), self.make_rule()
+
+
+def _rule(name, ev, reads):
+    return lambda: WinningRule(name=name, eval=ev, reads=reads)
+
+
+#: Configs that raise in every trial, or in some, with their message.
+_FAILING = {
+    "size_a-above": (PwarConfig(deck=(6, 1), size_a=7),
+                     "size_a must lie in [0, 6], got 7"),
+    "size_a-negative": (PwarConfig(deck=(6, 1), rule="powered", size_a=-1),
+                        "size_a must lie in [0, 6], got -1"),
+    "fwar-size_a": (FwarConfig(n=5, deal="uniform", size_a=9),
+                    "size_a must lie in [0, 5], got 9"),
+    "walk-p": (_RuleConfig(deck=(6, 1), size_a=2,
+                           make_rule=_rule("walk", _const_walk, "cards")),
+               "rule 'walk' gives p = 1.5 to card 0 against card 1 at hand "
+               "size 2, outside [0, 1]"),
+    "table-p": (_RuleConfig(deck=(6, 1),
+                            make_rule=_rule("over", _overshoot, "cards")),
+                "rule 'over' gives p = "),
+    "hand-p": (_RuleConfig(deck=(6, 1),
+                           make_rule=_rule("over", _overshoot, "hand")),
+               "rule 'over' gives p = "),
+    "unknown-deal": (FwarConfig(n=4, deal="mystery"),
+                     "unknown deal 'mystery'; valid: "),
+    "return-order": (FwarConfig(n=4, return_order="sideways"),
+                     "return_order must be one of "),
+}
+
+
+class TestBatchErrors:
+    """A batch raises what its first failing trial raises."""
+
+    @pytest.mark.parametrize("name", sorted(_FAILING))
+    def test_same_type_and_message(self, name):
+        cfg, message = _FAILING[name]
+        with pytest.raises(ValueError, match=re.escape(message)) as single:
+            _per_trial(cfg, 20, 3)
+        for run in (lambda: cfg.run_chunk(3, 0, 20),
+                    lambda: run_trials(cfg, 20, 3),
+                    lambda: run_trials(cfg, 20, 3, workers=2)):
+            with pytest.raises(ValueError) as batch:
+                run()
+            assert type(batch.value) is type(single.value)
+            assert str(batch.value) == str(single.value)
+
+
+class _PerTrialOnly:
+    """A config with ``run_trial`` alone, counting its calls."""
+
+    def __init__(self, config):
+        self.config = config
+        self.calls = 0
+
+    def run_trial(self, seed, stream_id):
+        self.calls += 1
+        return self.config.run_trial(seed, stream_id)
+
+
+class TestPerTrialFallback:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_config_without_run_chunk(self, workers):
+        cfg = FwarConfig(n=6, deal="iid")
+        only = _PerTrialOnly(cfg)
+        records = run_trials(only, 25, 4, workers=workers, stream_base=7)
+        assert records == run_trials(cfg, 25, 4, stream_base=7)
+        lo, hi = _shares(7, 32, workers)[0]
+        assert only.calls == hi - lo
+
+
+class TestMathOnlyTails:
+    """Clopper-Pearson bounds and chi-square tails from ``math`` alone."""
+
+    CASES = [(n, wins) for n in (1, 2, 7, 60, 211, 1000, 20000)
+             for wins in sorted({0, 1, n // 3, n // 2, n - 1, n})]
+
+    def test_clopper_pearson_matches_scipy(self):
+        beta = pytest.importorskip("scipy.stats").beta
+        for n, wins in self.CASES:
+            for alpha in (0.05, 0.01):
+                lo, hi = clopper_pearson(wins, n, alpha)
+                if wins:
+                    want = beta.ppf(alpha / 2, wins, n - wins + 1)
+                    assert lo == pytest.approx(want, rel=1e-10, abs=0)
+                if wins < n:
+                    want = beta.ppf(1 - alpha / 2, wins + 1, n - wins)
+                    assert hi == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_chi2_sf_matches_scipy(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        for df in list(range(1, 41)) + [99, 250]:
+            for x in (1e-6, 0.01, 0.5, 1.0, 3.84, 10.0, 60.0, 300.0,
+                      1200.0):
+                want = chi2.sf(x, df)
+                assert chi2_sf(x, df) == pytest.approx(want, rel=1e-12,
+                                                       abs=0), (x, df)
+
+    def test_edges(self):
+        assert clopper_pearson(0, 0) == (0.0, 1.0)
+        assert clopper_pearson(0, 10)[0] == 0.0
+        assert clopper_pearson(10, 10)[1] == 1.0
+        # Zero successes: the upper bound solves (1 - hi)^n = alpha / 2.
+        assert clopper_pearson(0, 10)[1] == pytest.approx(
+            1 - 0.025 ** 0.1, rel=1e-13)
+        for x in (0.0, -1.0):
+            assert chi2_sf(x, 3) == 1.0
+        # One degree of freedom is the square of a standard normal.
+        assert chi2_sf(3.8414588206941254, 1) == pytest.approx(0.05,
+                                                               rel=1e-13)
+        with pytest.raises(ValueError):
+            clopper_pearson(3, 2)
+        for df in (0, 1.5):
+            with pytest.raises(ValueError):
+                chi2_sf(1.0, df)
 
 
 def _numpy_summarize(samples, truncated_count=0, draw_count=0):
