@@ -67,21 +67,23 @@ def _check_return_order(return_order: str) -> None:
         raise ValueError(f"return_order must be one of {RETURN_ORDERS}")
 
 
-def _hands(state: GameState, return_order: str) -> tuple[deque, deque]:
-    """The hands of ``state`` as the play loop's deques, once ``state`` is
-    checked to hold ordered hands and ``return_order`` to be known."""
+def _hands(state: GameState, return_order: str) -> tuple[tuple, tuple]:
+    """The hands of ``state``, once ``state`` is checked to hold ordered
+    hands and ``return_order`` to be known."""
     if not state.ordered:
         raise ValueError("top-card war uses ordered (tuple) hands")
     _check_return_order(return_order)
-    return deque(state.hand_a), deque(state.hand_b)
+    return state.hand_a, state.hand_b
 
 
 def _play(a, b, f_of, rng, max_rounds, return_order, record_trace):
-    """The play loop: from the hands ``a`` and ``b`` (deques, front = next
-    played, changed in place), play until a hand empties or
-    ``max_rounds`` rounds are played. ``f_of`` is the strength of each
-    card id. Returns the final hands and the game's record."""
+    """The play loop: from the hands ``a`` and ``b`` (sequences, front =
+    next played), play until a hand empties or ``max_rounds`` rounds are
+    played. ``f_of`` is the strength of each card id. Returns the final
+    hands (deques) and the game's record."""
     n = len(f_of)
+    a = deque(a)
+    b = deque(b)
     m = math.fsum(map(f_of.__getitem__, a))
     q = 0.0
     m_traj = [m] if record_trace else None
@@ -186,10 +188,10 @@ def fwar_run(
 # ---------------------------------------------------------------------------
 
 
-def _coin_deal(a: deque, ids, rng: RngStream) -> tuple[deque, deque]:
+def _coin_deal(a: list, ids, rng: RngStream) -> tuple[list, list]:
     """Each card of ``ids`` joins the first hand ``a`` on a fair coin,
     else the second; both hands are then uniformly permuted."""
-    b = deque()
+    b = []
     rand = rng.random
     for i in ids:
         (a if rand() <= 0.5 else b).append(i)
@@ -202,14 +204,14 @@ def deal_iid(n: int, rng: RngStream) -> GameState:
     """Every card goes to the first player with an independent fair coin;
     both hands are then uniformly permuted. Either hand may be empty, in
     which case the game is absorbed at round 0."""
-    a, b = _coin_deal(deque(), range(n), rng)
+    a, b = _coin_deal([], range(n), rng)
     return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
 
 
 def deal_strongest(n: int, rng: RngStream) -> GameState:
     """The strongest card (rank n) goes to the first player, every other
     card by an independent fair coin; both hands uniformly permuted."""
-    a, b = _coin_deal(deque([n - 1]), range(n - 1), rng)
+    a, b = _coin_deal([n - 1], range(n - 1), rng)
     return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
 
 
@@ -280,42 +282,37 @@ class FwarConfig:
         deck.strength_table(strength)  # a bad strength fails here
         return deck, strength
 
-    def deal_state(self, rng: RngStream) -> GameState:
-        if self.deal == "iid":
-            return deal_iid(self.n, rng)
-        if self.deal == "strongest":
-            return deal_strongest(self.n, rng)
-        if self.deal == "uniform":
-            return deal_uniform(built(self)[0], self.size_a, rng,
-                                ordered=True)
-        raise _unknown_deal(self.deal)
-
-    def _dealer(self):
-        """The deal as a function of a trial's stream that returns both
-        hands as the play loop's deques, its size checked once. Raises
-        ``ValueError`` for an unknown deal, as :meth:`deal_state` does."""
+    def _deals(self):
+        """The deal as two functions of a trial's stream: the public deal
+        function, which returns a ``GameState``, and its helper, which
+        returns both hands as lists. :meth:`deal_state` (the per-trial
+        path, where tracing sees every public deal) calls the first,
+        :meth:`run_chunk` the second. The first hand's size is checked
+        here, once; an unknown deal raises ``ValueError``."""
         n = self.n
         if self.deal == "iid":
-            return lambda rng: _coin_deal(deque(), range(n), rng)
+            return (lambda rng: deal_iid(n, rng),
+                    lambda rng: _coin_deal([], range(n), rng))
         if self.deal == "strongest":
-            return lambda rng: _coin_deal(deque([n - 1]), range(n - 1), rng)
+            return (lambda rng: deal_strongest(n, rng),
+                    lambda rng: _coin_deal([n - 1], range(n - 1), rng))
         if self.deal == "uniform":
-            size_a = first_hand_size(built(self)[0], self.size_a)
-
-            def deal(rng):
-                a, b = _deal_uniform(n, size_a, rng, True)
-                return deque(a), deque(b)
-
-            return deal
+            deck = built(self)[0]
+            size_a = first_hand_size(deck, self.size_a)
+            return (lambda rng: deal_uniform(deck, size_a, rng, ordered=True),
+                    lambda rng: _deal_uniform(n, size_a, rng, True))
         raise _unknown_deal(self.deal)
+
+    def deal_state(self, rng: RngStream) -> GameState:
+        return self._deals()[0](rng)
 
     def run_chunk(self, seed: int, lo: int, hi: int) -> list:
         """``[run_trial(seed, i) for i in range(lo, hi)]``, with the
         strength table, deal and return order looked up once: each trial
-        deals straight into the play loop's deques."""
+        deals straight into lists that the play loop takes."""
         deck, strength = built(self)
         f_of = deck.strength_table(strength)
-        deal = self._dealer()
+        deal = self._deals()[1]
         return_order = self.return_order
         _check_return_order(return_order)
         max_rounds = self.max_rounds

@@ -276,8 +276,10 @@ _TINY = 1e-300
 
 def _betacf(a: float, b: float, x: float) -> float:
     """The continued fraction of the regularized incomplete beta
-    function, by the modified Lentz method."""
-    eps = 2.0 ** -53
+    function, by the modified Lentz method. It stops when the last
+    factor lies within 2**-51 of 1, a few ulps, so a factor that settles
+    an ulp above 1 still ends the loop."""
+    eps = 2.0 ** -51
     c = 1.0
     d = 1.0 - (a + b) * x / (a + 1.0)
     d = 1.0 / (d if abs(d) > _TINY else _TINY)

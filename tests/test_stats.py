@@ -493,6 +493,14 @@ class TestMathOnlyTails:
                 assert chi2_sf(x, df) == pytest.approx(want, rel=1e-12,
                                                        abs=0), (x, df)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 100_000), data=st.data(),
+           alpha=st.floats(1e-9, 0.5))
+    def test_clopper_pearson_returns_on_any_input(self, n, data, alpha):
+        wins = data.draw(st.integers(0, n))
+        lo, hi = clopper_pearson(wins, n, alpha)
+        assert 0.0 <= lo <= wins / n <= hi <= 1.0
+
     def test_edges(self):
         assert clopper_pearson(0, 0) == (0.0, 1.0)
         assert clopper_pearson(0, 10)[0] == 0.0
