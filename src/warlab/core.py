@@ -83,8 +83,11 @@ class Deck:
             table = tables[key] = make()
         return table
 
-    def pair_table(self, rule: WinningRule) -> PairTable:
-        """This deck's :class:`PairTable` for ``rule``."""
+    def pair_table(self, rule: WinningRule) -> Optional[PairTable]:
+        """This deck's :class:`PairTable` for ``rule``, None for a rule that
+        reads the hand."""
+        if rule.reads == "hand":
+            return None
         return self._table(rule, lambda: PairTable(rule, self))
 
     def strength_table(self, strength: StrengthFunction) -> tuple[float, ...]:
@@ -285,19 +288,16 @@ class PairTable:
     and exact enumeration both read p from here, so they share one
     evaluation per entry.
 
-    ``walk_p`` is the p that a ``"cards"`` rule gives every pair of
-    distinct cards, and None when the pairs differ, when the rule reads
-    the hand size or when some pair's ``eval`` raises; with it, hand size
-    is a walk that ignores the cards. To decide it, a ``"cards"`` table is
-    filled in ascending (a, b) order; an ``eval`` that raises stops the
-    fill there, and play raises when it reads that pair.
+    ``walk_p`` is the p in [0, 1] that a ``"cards"`` rule gives every
+    pair of distinct cards, else None; with it, hand size is a walk that
+    ignores the cards. To decide it, a ``"cards"`` table is filled in
+    ascending (a, b) order; an ``eval`` that raises stops the fill there,
+    and play raises when it reads that pair, as for any invalid p.
     """
 
     __slots__ = ("rule", "deck", "by_size", "walk_p")
 
     def __init__(self, rule: WinningRule, deck: Deck):
-        if rule.reads == "hand":
-            raise ValueError(f"rule {rule.name!r} reads the hand")
         d = deck.size
         unfilled = array("d", [math.nan]) * (d * d)
         unfilled[::d + 1] = array("d", [0.0]) * d
@@ -314,14 +314,14 @@ class PairTable:
                                       for _ in range(1, d)] + [None])
 
     def _one_p(self) -> Optional[float]:
-        """The one p off the diagonal of a ``"cards"`` table, or None."""
+        """The one valid p off the diagonal of a ``"cards"`` table, or None."""
         try:
             table = self.filled(1)
         except Exception:
             return None
         d = self.deck.size
         off = [p for i, p in enumerate(table) if i % (d + 1)]
-        if off and all(p == off[0] for p in off):
+        if off and 0.0 <= off[0] <= 1.0 and all(p == off[0] for p in off):
             return off[0]
         return None
 

@@ -196,17 +196,6 @@ def _sizes(d: int) -> np.ndarray:
     return sizes
 
 
-def _pair_table(deck: Deck, rule: WinningRule, k: int) -> np.ndarray:
-    """p of every ordered pair of distinct card ids at hand size ``k``, as
-    a d x d array with a zero diagonal, for a rule that reads at most the
-    hand size: a copy of the deck's :class:`~warlab.core.PairTable`, the
-    one the Monte Carlo engine reads, with its missing entries filled."""
-    import numpy as np
-
-    d = deck.size
-    return np.array(deck.pair_table(rule).filled(k)).reshape(d, d)
-
-
 def _pwar_rows(deck: Deck, rule: WinningRule, k: int,
                masks: np.ndarray) -> tuple:
     """Transitions out of the size-k random-draw states ``masks``.
@@ -214,8 +203,8 @@ def _pwar_rows(deck: Deck, rule: WinningRule, k: int,
     Each of the k(d-k) card pairs is drawn with probability 1/(k(d-k)),
     then resolved by the rule with probability p[a, b]. A ``"hand"`` rule
     makes one ``eval`` per state and pair with the rest of the hand as
-    ``s``; the others take p from :func:`_pair_table`, one card column
-    at a time, so no (states, k, d-k) array of p is made. Returns
+    ``s``; the others take p from the deck's pair table, filled, one card
+    column at a time, so no (states, k, d-k) array of p is made. Returns
     the next masks and their probabilities as two (len(masks), d) arrays,
     one row per state with its d distinct successors in the order the
     pairs first reach them: win(b0), lose(a0), win(b1..), lose(a1..) over
@@ -229,7 +218,8 @@ def _pwar_rows(deck: Deck, rule: WinningRule, k: int,
     held = (masks[:, None] >> np.arange(d)) & 1 == 1
     a = np.nonzero(held)[1].reshape(n, k)
     b = np.nonzero(~held)[1].reshape(n, d - k)
-    if rule.reads == "hand":
+    table = deck.pair_table(rule)
+    if table is None:
         cards = deck.cards
         ev = rule.eval
         p = np.empty((n, k, d - k))
@@ -241,10 +231,10 @@ def _pwar_rows(deck: Deck, rule: WinningRule, k: int,
         p_of_a = [p[:, i, :] for i in range(k)]
         p_of_b = [p[:, :, j] for j in range(d - k)]
     else:
-        table = _pair_table(deck, rule, k).ravel()
+        flat = np.array(table.filled(k))
         at_a = a * d
-        p_of_a = (table.take(at_a[:, i, None] + b) for i in range(k))
-        p_of_b = (table.take(at_a + b[:, j, None]) for j in range(d - k))
+        p_of_a = (flat.take(at_a[:, i, None] + b) for i in range(k))
+        p_of_b = (flat.take(at_a + b[:, j, None]) for j in range(d - k))
     base = 1.0 / (k * (d - k))
     win = np.zeros((n, d - k))
     for p in p_of_a:

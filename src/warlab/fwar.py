@@ -201,25 +201,25 @@ def _coin_deal(a: list, ids, rng: RngStream) -> tuple[list, list]:
 
 
 def deal_iid(n: int, rng: RngStream) -> GameState:
-    """Every card goes to the first player with an independent fair coin;
-    both hands are then uniformly permuted. Either hand may be empty, in
-    which case the game is absorbed at round 0."""
+    """Each of n >= 1 cards goes to the first player on an independent fair
+    coin; both hands are then uniformly permuted. Either hand may be
+    empty, in which case the game is absorbed at round 0."""
+    if n < 1:
+        raise ValueError("deck must have at least one card")
     a, b = _coin_deal([], range(n), rng)
     return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
 
 
 def deal_strongest(n: int, rng: RngStream) -> GameState:
-    """The strongest card (rank n) goes to the first player, every other
-    card by an independent fair coin; both hands uniformly permuted."""
+    """The strongest card (rank n >= 1) goes to the first player, every
+    other card by an independent fair coin; both hands uniformly permuted."""
+    if n < 1:
+        raise ValueError("deck must have at least one card")
     a, b = _coin_deal([n - 1], range(n - 1), rng)
     return GameState(hand_a=tuple(a), hand_b=tuple(b), round=0)
 
 
 DEALS = ("uniform", "iid", "strongest")
-
-
-def _unknown_deal(deal: str) -> ValueError:
-    return ValueError(f"unknown deal {deal!r}; valid: {DEALS}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ class FwarConfig:
     def _deals(self):
         """The deal as two functions of a trial's stream: the public deal
         function, which returns a ``GameState``, and its helper, which
-        returns both hands as lists. :meth:`deal_state` (the per-trial
+        returns both hands as lists. :meth:`run_trial` (the per-trial
         path, where tracing sees every public deal) calls the first,
         :meth:`run_chunk` the second. The first hand's size is checked
         here, once; an unknown deal raises ``ValueError``."""
@@ -301,15 +301,12 @@ class FwarConfig:
             size_a = first_hand_size(deck, self.size_a)
             return (lambda rng: deal_uniform(deck, size_a, rng, ordered=True),
                     lambda rng: _deal_uniform(n, size_a, rng, True))
-        raise _unknown_deal(self.deal)
-
-    def deal_state(self, rng: RngStream) -> GameState:
-        return self._deals()[0](rng)
+        raise ValueError(f"unknown deal {self.deal!r}; valid: {DEALS}")
 
     def run_chunk(self, seed: int, lo: int, hi: int) -> list:
-        """``[run_trial(seed, i) for i in range(lo, hi)]``, with the
-        strength table, deal and return order looked up once: each trial
-        deals straight into lists that the play loop takes."""
+        """``[run_trial(seed, i) for i in range(lo, hi)]`` for lo < hi, with
+        the strength table, deal and return order looked up (and checked)
+        once: each trial deals straight into lists that the play loop takes."""
         deck, strength = built(self)
         f_of = deck.strength_table(strength)
         deal = self._deals()[1]
@@ -328,7 +325,7 @@ class FwarConfig:
     def run_trial(self, seed: int, stream_id: int) -> FwarTrace:
         deck, strength = built(self)
         rng = RngStream(seed, stream_id)
-        state = self.deal_state(rng)
+        state = self._deals()[0](rng)
         return fwar_run(
             state,
             strength,

@@ -12,7 +12,7 @@ index into B's hand, outcome), with index = floor(U * hand_size).
 capped at one round, so a run is draw-for-draw the iteration of steps.
 :meth:`PwarConfig.run_chunk` calls the same loop, or the walk below.
 
-When a ``"cards"`` rule gives every pair of cards the same p (``coin``,
+When a ``"cards"`` rule gives every pair of cards one valid p (``coin``,
 Bradley-Terry with ``constant`` strength), hand size is a walk that
 ignores the cards, and :func:`pwar_run` plays that walk on |A| alone
 (:attr:`PairTable.walk_p <warlab.core.PairTable.walk_p>`). It makes the
@@ -46,11 +46,11 @@ from .core import (
 )
 
 def _pair_table(state, rule, deck):
-    """The deck's pair table for ``rule``, None for a ``"hand"`` rule,
-    once ``state`` is checked to hold unordered hands."""
+    """The deck's pair table for ``rule``, once ``state`` is checked to
+    hold unordered hands."""
     if state.ordered:
         raise ValueError("random-draw war uses unordered (set) hands")
-    return None if rule.reads == "hand" else deck.pair_table(rule)
+    return deck.pair_table(rule)
 
 
 def _bad_p(rule, a_id, b_id, k, p):
@@ -60,16 +60,6 @@ def _bad_p(rule, a_id, b_id, k, p):
         f"rule {rule.name!r} gives p = {p!r} to card {a_id} against card "
         f"{b_id} at hand size {k}, outside [0, 1]"
     )
-
-
-def _walk_p(table, rule, k):
-    """The one p that ``table`` gives every pair of cards, None when it
-    has none (or is None); raises when that p lies outside [0, 1], naming
-    A's hand size ``k``."""
-    p = None if table is None else table.walk_p
-    if p is not None and not 0.0 <= p <= 1.0:
-        raise _bad_p(rule, 0, 1, k, p)
-    return p
 
 
 def _play(ha, hb, rule, table, deck, rng, max_rounds, record_trace):
@@ -182,19 +172,18 @@ def pwar_run(
 
     Returns winner ``"Truncated"`` if the cap was hit. When
     ``record_trace`` is set, the record's trace is |A_t| for t = 0..tau.
-    A rule with one p for every pair plays the walk on |A|, with the same
-    draws and the same record. A p outside [0, 1], or NaN, raises
-    ``ValueError`` naming the rule, two card ids, the hand size and p.
+    A rule with one valid p for every pair plays the walk on |A|, with the
+    same draws and record. Play raises ``ValueError`` on the first p it
+    reads outside [0, 1], or NaN, naming the rule, cards, hand size and p.
     """
     table = _pair_table(init, rule, deck)
-    walk_p = _walk_p(table, rule, len(init.hand_a))
-    if walk_p is not None:
+    if table is not None and table.walk_p is not None:
         if __debug__:
             assert len(init.hand_a) + len(init.hand_b) == deck.size, (
                 "card count not conserved"
             )
-        return _walk(len(init.hand_a), deck.size, walk_p, rng, max_rounds,
-                     record_trace)
+        return _walk(len(init.hand_a), deck.size, table.walk_p, rng,
+                     max_rounds, record_trace)
     return _play(sorted(init.hand_a), sorted(init.hand_b), rule, table,
                  deck, rng, max_rounds, record_trace)[2]
 
@@ -228,15 +217,15 @@ class PwarConfig:
         return deck, rules.rule_by_name(self.rule, strength)
 
     def run_chunk(self, seed: int, lo: int, hi: int) -> list:
-        """``[run_trial(seed, i) for i in range(lo, hi)]``, with the deck,
-        rule, pair table and first-hand size looked up once: each trial
-        deals straight into the play loop's lists, or makes the deal's
-        draws and plays the walk."""
+        """``[run_trial(seed, i) for i in range(lo, hi)]`` for lo < hi, with
+        the deck, rule, pair table and first-hand size looked up (and
+        checked) once: each trial deals straight into the play loop's
+        lists, or makes the deal's draws and plays the walk."""
         deck, rule = built(self)
         d = deck.size
         size_a = first_hand_size(deck, self.size_a)
-        table = None if rule.reads == "hand" else deck.pair_table(rule)
-        walk_p = _walk_p(table, rule, size_a)
+        table = deck.pair_table(rule)
+        walk_p = None if table is None else table.walk_p
         max_rounds = self.max_rounds
         record_trace = self.record_trace
         records = []

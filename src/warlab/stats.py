@@ -104,12 +104,12 @@ def run_trials(
 
     ``config`` is any object exposing ``run_trial(seed, stream_id)``.
     Trial i uses stream id ``stream_base + i``; the output is ordered by
-    trial index and is byte-identical across worker counts. A config may
-    also expose ``run_chunk(seed, lo, hi)``, which must return
-    ``[run_trial(seed, i) for i in range(lo, hi)]`` and raise as that
-    list would; each share then runs as one such call, so its set-up is
-    paid once per share instead of once per trial. ``PwarConfig`` and
-    ``FwarConfig`` have one.
+    trial index and compares equal across worker counts. A config may
+    also expose ``run_chunk(seed, lo, hi)``, called only with lo < hi,
+    which must return ``[run_trial(seed, i) for i in range(lo, hi)]`` and
+    raise as that list would; it may raise on an empty range, where the
+    list is empty. Each share runs as one such call, so its set-up is
+    paid once per share. ``PwarConfig`` and ``FwarConfig`` have one.
 
     ``workers`` counts this process. With more than one, the trials are
     cut into contiguous shares; a forked child runs each share after the
@@ -337,17 +337,20 @@ def _beta_ppf(q: float, a: int, b: int) -> float:
 
 def clopper_pearson(wins: int, n: int,
                     alpha: float = 0.05) -> tuple[float, float]:
-    """The exact (Clopper-Pearson) two-sided ``1 - alpha`` interval for a
-    binomial proportion after ``wins`` successes in ``n`` trials: the
-    ``alpha/2`` quantile of Beta(wins, n - wins + 1) and the
-    ``1 - alpha/2`` quantile of Beta(wins + 1, n - wins), with 0 and 1 at
-    the edges and ``(0, 1)`` when ``n`` is 0."""
+    """The exact (Clopper-Pearson) two-sided ``1 - alpha`` interval, for
+    ``alpha`` in (0, 1), after ``wins`` successes in ``n`` trials: the
+    ``alpha/2`` quantile of Beta(wins, n - wins + 1) and 1 minus that of
+    Beta(n - wins, wins + 1) (the ``1 - alpha/2`` quantile of
+    Beta(wins + 1, n - wins), precise even at tiny ``alpha``), with 0 and 1
+    at the edges and ``(0, 1)`` when ``n`` is 0."""
     if not 0 <= wins <= n:
         raise ValueError(f"need 0 <= wins <= n, got wins={wins}, n={n}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n == 0:
         return 0.0, 1.0
     lo = 0.0 if wins == 0 else _beta_ppf(alpha / 2, wins, n - wins + 1)
-    hi = 1.0 if wins == n else _beta_ppf(1 - alpha / 2, wins + 1, n - wins)
+    hi = 1.0 if wins == n else 1 - _beta_ppf(alpha / 2, n - wins, wins + 1)
     return lo, hi
 
 

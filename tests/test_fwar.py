@@ -219,6 +219,12 @@ class TestDeals:
         for card in range(n):
             assert abs(counts[card] / trials - 0.5) <= 4 * sigma
 
+    @pytest.mark.parametrize("deal", [deal_iid, deal_strongest])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_cards_rejected(self, deal, n):
+        with pytest.raises(ValueError, match="at least one card"):
+            deal(n, RngStream(0))
+
     def test_hands_are_permuted(self):
         """Both orders of a 2-card hand occur under the iid deal."""
         seen = set()

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from warlab import rules
 from warlab.core import (
     GameState,
-    PairTable,
     RngStream,
     TrialRecord,
     WinningRule,
     build_deck,
     deal_uniform,
 )
-from warlab.exact import _pair_table, srw_oracle
+from warlab.exact import srw_oracle
 from warlab.pwar import PwarConfig, pwar_run, pwar_step
 from warlab.rules import (
     RULE_NAMES,
@@ -544,11 +543,12 @@ class TestPairTable:
         d = deck.size
         for k in range(1, d):
             games = np.array(deck.pair_table(rule).by_size[k]).reshape(d, d)
-            exact = _pair_table(fresh, rule, k)
+            exact = np.array(fresh.pair_table(rule).filled(k)).reshape(d, d)
             seen = ~np.isnan(games)
             assert seen.any(), k
             assert (games[seen] == exact[seen]).all(), k
-            assert (_pair_table(deck, rule, k) == exact).all(), k
+            assert (np.array(deck.pair_table(rule).filled(k)).reshape(d, d)
+                    == exact).all(), k
 
     def test_one_table_per_rule_and_deck(self):
         deck = build_deck((6, 1))
@@ -561,8 +561,7 @@ class TestPairTable:
         assert all(t is coin.by_size[1] for t in coin.by_size)
 
     def test_hand_rule_has_no_table(self):
-        with pytest.raises(ValueError, match="reads the hand"):
-            PairTable(rule_max_holder(), build_deck((4, 1)))
+        assert build_deck((4, 1)).pair_table(rule_max_holder()) is None
 
     def test_deck_pickles_after_play(self):
         """The tables hold rule closures; a deck pickles without them."""
@@ -597,7 +596,7 @@ class TestInvalidP:
         (_invalid("nan", "cards", math.nan, math.nan),
          "rule 'nan' gives p = nan to card 2 against card 3 at hand size 3"),
         (_invalid("walk", "cards", 1.5, 1.5),
-         "rule 'walk' gives p = 1.5 to card 0 against card 1 at hand size 3"),
+         "rule 'walk' gives p = 1.5 to card 2 against card 3 at hand size 3"),
         (_invalid("by-size", "size", 1.5, 0.5),
          "rule 'by-size' gives p = 1.5 to card 4 against card 1 at hand "
          "size 4"),

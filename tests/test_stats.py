@@ -411,7 +411,7 @@ _FAILING = {
                     "size_a must lie in [0, 5], got 9"),
     "walk-p": (_RuleConfig(deck=(6, 1), size_a=2,
                            make_rule=_rule("walk", _const_walk, "cards")),
-               "rule 'walk' gives p = 1.5 to card 0 against card 1 at hand "
+               "rule 'walk' gives p = 1.5 to card 2 against card 4 at hand "
                "size 2, outside [0, 1]"),
     "table-p": (_RuleConfig(deck=(6, 1),
                             make_rule=_rule("over", _overshoot, "cards")),
@@ -441,6 +441,24 @@ class TestBatchErrors:
                 run()
             assert type(batch.value) is type(single.value)
             assert str(batch.value) == str(single.value)
+
+
+class TestInvalidPNeverRead:
+    """Play rejects an invalid p only where it reads one, so a game that
+    plays no round returns its record, for a constant p as for a table."""
+
+    @pytest.mark.parametrize("ev", [_const_walk, _overshoot],
+                             ids=["walk", "table"])
+    @pytest.mark.parametrize("options", [{"max_rounds": 0, "size_a": 2},
+                                         {"size_a": 0}],
+                             ids=["no-round", "absorbed"])
+    def test_records_without_raising(self, ev, options):
+        cfg = _RuleConfig(deck=(6, 1), make_rule=_rule("bad", ev, "cards"),
+                          **options)
+        want = _per_trial(cfg, 12, 3)
+        assert all(r.tau == 0 for r in want)
+        assert run_trials(cfg, 12, 3) == want
+        assert run_trials(cfg, 12, 3, workers=2) == want
 
 
 class _PerTrialOnly:
@@ -483,6 +501,19 @@ class TestMathOnlyTails:
                 if wins < n:
                     want = beta.ppf(1 - alpha / 2, wins + 1, n - wins)
                     assert hi == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n, alpha", [(383, 1.7077293414860798e-09),
+                                          (60, 1e-12), (7, 1e-6)])
+    def test_zero_success_bound_at_tiny_alpha(self, n, alpha):
+        """The upper bound solves (1 - hi)^n = alpha / 2 to full precision."""
+        want = -math.expm1(math.log(alpha / 2) / n)
+        assert clopper_pearson(0, n, alpha)[1] == pytest.approx(
+            want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            clopper_pearson(3, 10, alpha)
 
     def test_chi2_sf_matches_scipy(self):
         chi2 = pytest.importorskip("scipy.stats").chi2
